@@ -164,12 +164,18 @@ def orthonormal_basis(cols) -> Subspace:
 
 
 def kernel(m) -> Subspace:
-    """Orthonormal basis of {x : m x = 0} from the small singular vectors."""
+    """Orthonormal basis of {x : m x = 0} from the small singular vectors.
+
+    Only the right singular vectors are used.  A tall or square input
+    takes the reduced SVD, whose ``vh`` is already n x n; only a wide
+    input needs the full ``vh`` to reach its null directions.  So a tall
+    input costs O(rows * n) memory for the left factor, not O(rows^2).
+    """
     a = as_matrix(m)
     rows, n = a.shape
     if rows == 0:
         return full_subspace(n)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < n)
     r = _rank_from_singular_values(s)
     return Subspace(vh[r:].conj().T)
 

@@ -205,9 +205,15 @@ def reconstruct(window: WindowSubspace) -> PpuElement:
 
     Peels at the window level: the slot-1 fiber of the space is the
     first factor, then the windowed action of that factor's inverse is
-    applied and the peel repeats until the space is exhausted.
+    applied and the peel repeats until the space is exhausted.  The
+    window comes from the caller, so an unstable one is an input error.
     """
     window.require_valid(InputError)
+    return _peel(window)
+
+
+def _peel(window: WindowSubspace) -> PpuElement:
+    """Window-level peel of a window already validated as stable."""
     algebra = window.algebra
     amb, w = algebra.dim, window.width
     space = window.space
@@ -220,7 +226,7 @@ def reconstruct(window: WindowSubspace) -> PpuElement:
         embed[:amb] = np.eye(amb)
         m1 = kernel(embed - space.frame @ (space.frame.conj().T @ embed))
         if m1.dim == 0:
-            raise InputError("window peel stalled on a nonzero space")
+            raise NumericalError("window peel stalled on a nonzero space")
         members.append(certify_member(algebra, m1))
         proj = m1.projector()
         block = np.kron(np.eye(w, k=1), proj) + np.kron(
@@ -244,22 +250,28 @@ def _common_window(a: PpuElement, b: PpuElement) -> tuple[int, int]:
     return min(a.op.lo, b.op.lo), max(a.op.hi, b.op.hi)
 
 
-def meet(a: PpuElement, b: PpuElement) -> PpuElement:
+def _lattice_op(a: PpuElement, b: PpuElement, combine) -> PpuElement:
+    """Combine the two windows and peel the result.
+
+    The combined window is computed here from valid elements, so a
+    window that fails its stability check is a numerical failure, not
+    an input error.
+    """
     algebra = require_same_algebra(a, b)
     m, n = _common_window(a, b)
     wa = omega_window(a, m, n)
     wb = omega_window(b, m, n)
-    space = meet_subspace(wa.space, wb.space)
-    return reconstruct(WindowSubspace(algebra, m, n - m, space))
+    window = WindowSubspace(algebra, m, n - m, combine(wa.space, wb.space))
+    window.require_valid(NumericalError)
+    return _peel(window)
+
+
+def meet(a: PpuElement, b: PpuElement) -> PpuElement:
+    return _lattice_op(a, b, meet_subspace)
 
 
 def join(a: PpuElement, b: PpuElement) -> PpuElement:
-    algebra = require_same_algebra(a, b)
-    m, n = _common_window(a, b)
-    wa = omega_window(a, m, n)
-    wb = omega_window(b, m, n)
-    space = join_subspace(wa.space, wb.space)
-    return reconstruct(WindowSubspace(algebra, m, n - m, space))
+    return _lattice_op(a, b, join_subspace)
 
 
 def complement_in_t(el: PpuElement) -> PpuElement:

@@ -17,6 +17,7 @@ from .numfield import (
     InputError,
     NumericalError,
     Subspace,
+    _rank_from_singular_values,
     as_matrix,
     columns_outside,
     frob,
@@ -36,7 +37,13 @@ CLUSTER_GAP = 1e-6
 
 
 class StarAlgebra:
-    """Unital *-closed subalgebra of n x n complex matrices."""
+    """Unital *-closed subalgebra of n x n complex matrices.
+
+    Invariant: the basis spans the unital *-closure of the generators.
+    ``generate_algebra`` establishes it by construction; a caller who
+    builds an instance directly must supply such a pair, because the
+    commutant is computed from the generators alone.
+    """
 
     def __init__(self, dim: int, generators, basis):
         self.dim = int(dim)
@@ -115,10 +122,16 @@ def _orthonormalize_span(mats, n: int) -> list[np.ndarray]:
         return []
     stacked = np.stack([m.reshape(-1) for m in mats])
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    if s.size == 0 or s[0] <= tolerances().rank:
-        return []
-    r = int(np.count_nonzero(s > tolerances().rank * s[0]))
-    return [vh[i].reshape(n, n) for i in range(r)]
+    return [vh[i].reshape(n, n) for i in range(_rank_from_singular_values(s))]
+
+
+def _seed_span(n: int, gens) -> list[np.ndarray]:
+    """Trace-orthonormal basis of span{1, g, g^* : g in gens}."""
+    seed_mats = [np.eye(n, dtype=np.complex128)]
+    for g in gens:
+        seed_mats.append(g)
+        seed_mats.append(g.conj().T)
+    return _orthonormalize_span(seed_mats, n)
 
 
 def generate_algebra(n: int, gens) -> StarAlgebra:
@@ -132,11 +145,7 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
     for g in gens:
         if g.shape != (n, n):
             raise InputError("generators must be n x n")
-    seed_mats = [np.eye(n, dtype=np.complex128)]
-    for g in gens:
-        seed_mats.append(g)
-        seed_mats.append(g.conj().T)
-    basis = _orthonormalize_span(seed_mats, n)
+    basis = _seed_span(n, gens)
     for _ in range(n * n + 1):
         k = len(basis)
         stacked = np.stack([b.reshape(-1) for b in basis])
@@ -153,23 +162,29 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
 def commutant(a: StarAlgebra) -> StarAlgebra:
     """All matrices commuting with the algebra.
 
-    Solves x g = g x for a spanning family as one stacked kernel problem
-    (row-major vec: x -> gx - xg is kron(g, I) - kron(I, g^T)).
+    Solves x g = g x for every g of a fixed family as one stacked kernel
+    problem: in row-major vec, x -> gx - xg has the entry
+    g[i, p] d[j, q] - d[i, p] g[q, j] at row (i, j), column (p, q), with d
+    the Kronecker delta.
+    The algebra is the unital *-closure of its generators, and whatever
+    commutes with g and g^* commutes with every product of them, so the
+    generators and their adjoints fix the same commutant as the whole
+    basis.  They enter through the span that seeds ``generate_algebra``,
+    so a generator the closure dropped as numerically scalar is dropped
+    here too, whatever its norm.  The identity commutes with everything,
+    so only the traceless part of that span is stacked: at most
+    2 |gens| n^2 rows, which is 98 instead of 2401 for full M_7.
     """
     n = a.dim
     eye = np.eye(n, dtype=np.complex128)
-    # commuting is linear in the fixed side, so the basis suffices
-    rows = [np.kron(g, eye) - np.kron(eye, g.T) for g in a.basis]
+    traceless = [b - np.trace(b) / n * eye for b in _seed_span(n, a.generators)]
+    fixed = np.reshape(_orthonormalize_span(traceless, n), (-1, n, n))
     stacked = (
-        np.vstack(rows) if rows else np.zeros((0, n * n), dtype=np.complex128)
-    )
+        np.einsum("aip,jq->aijpq", fixed, eye) - np.einsum("ip,aqj->aijpq", eye, fixed)
+    ).reshape(-1, n * n)
     null = kernel(stacked)
     basis = [null.frame[:, i].reshape(n, n) for i in range(null.dim)]
     return StarAlgebra(n, basis, basis)
-
-
-def contains(a: StarAlgebra, x) -> bool:
-    return a.contains(x)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
-from paraunitary import jsonio
+from paraunitary import jsonio, ppu
 from paraunitary.cli import main
 from paraunitary.laurent import LaurentOp
+from paraunitary.numfield import zero_subspace
 
 from conftest import diag_algebra
 
@@ -216,3 +217,23 @@ def test_unknown_subcommand_exits_two():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def _unstable_space(a, b):
+    # the all-ones vector is moved out of its span by diag(1, 0) in the
+    # commutant of the diagonal algebra, so the window fails stability
+    return pu.orthonormal_basis(np.ones((a.ambient_dim, 1)))
+
+
+@pytest.mark.parametrize("op", ["meet", "join"])
+@pytest.mark.parametrize("fault", ["unstable-window", "stalled-peel"])
+def test_lattice_numerical_failure_exits_one(files, capsys, monkeypatch, op, fault):
+    if fault == "unstable-window":
+        monkeypatch.setattr(ppu, f"{op}_subspace", _unstable_space)
+    else:
+        monkeypatch.setattr(ppu, "kernel", lambda m: zero_subspace(m.shape[1]))
+    code, out, err = run_cli(
+        capsys, "lattice", op, files["alg.json"], files["el.json"], files["el.json"]
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "numerical"

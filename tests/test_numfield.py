@@ -12,7 +12,7 @@ from paraunitary.numfield import (
     zero_subspace,
 )
 
-from conftest import random_subspace
+from conftest import rand_matrix, random_subspace
 
 E1 = np.array([[1.0], [0.0]])
 E2 = np.array([[0.0], [1.0]])
@@ -59,6 +59,21 @@ class TestKernel:
         assert frob(m @ s.frame) < 1e-12
         v = np.array([[1.0], [-1.0]]) / np.sqrt(2)
         assert mat_residual(s.projector(), v @ v.conj().T) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "rows, cols, rank",
+    [(12, 4, 4), (20, 6, 2), (5, 5, 2), (3, 7, 3), (2, 6, 1), (0, 4, 0)],
+    ids=["tall", "tall-deficient", "square", "wide", "wide-deficient", "zero-rows"],
+)
+def test_kernel_shapes(rows, cols, rank):
+    rng = np.random.default_rng([rows, cols, rank])
+    m = rand_matrix(rng, rows, rank) @ rand_matrix(rng, rank, cols)
+    s = pu.kernel(m)
+    assert s.ambient_dim == cols
+    assert s.dim == cols - rank
+    assert mat_residual(s.frame.conj().T @ s.frame, np.eye(s.dim)) < 1e-12
+    assert frob(m @ s.frame) <= pu.tolerances().eq * max(1.0, frob(m))
 
 
 class TestMeetJoin:

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +10,11 @@ from paraunitary.numfield import InputError, subspace_residual
 from paraunitary.star_algebra import oml_complement, oml_join, oml_meet
 
 from conftest import (
+    block_algebra,
     diag_algebra,
     doubled_algebra,
     full_algebra,
+    rand_matrix,
     random_subspace,
     scalar_algebra,
 )
@@ -72,6 +77,65 @@ class TestCommutant:
         dc = algebra.commutant.commutant
         assert dc.linear_dim == algebra.linear_dim
         assert algebra.same_span(dc)
+
+
+def basis_commutant(a):
+    """Reference commutant: one commutator block per basis element."""
+    n = a.dim
+    eye = np.eye(n)
+    null = pu.kernel(np.vstack([np.kron(b, eye) - np.kron(eye, b.T) for b in a.basis]))
+    basis = [null.frame[:, i].reshape(n, n) for i in range(null.dim)]
+    return pu.StarAlgebra(n, basis, basis)
+
+
+def numerically_scalar_generator():
+    # the closure drops the first generator (scalar to 1e-12) and keeps
+    # x + x; the commutant must drop it too, though its norm is 1e6
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    near_scalar = 1e6 * (np.eye(6) + 1e-12 * np.diag([1.0, 0, 0, 0, 0, 0]))
+    return pu.generate_algebra(6, [near_scalar, np.kron(np.eye(2), x)])
+
+
+class TestCommutantFromGenerators:
+    @pytest.mark.parametrize(
+        "algebra",
+        [
+            scalar_algebra(3),
+            diag_algebra(4),
+            pu.generate_algebra(2, [NILPOTENT]),
+            doubled_algebra(3, 2),
+            block_algebra([1, 2, 2], 2),
+            full_algebra(4, 2),
+            numerically_scalar_generator(),
+        ],
+        ids=["scalars", "diag", "nilpotent", "doubled", "blocks", "full", "near-scalar"],
+    )
+    def test_same_span_as_basis_built(self, algebra):
+        reference = basis_commutant(algebra)
+        c = pu.commutant(algebra)
+        assert c.same_span(reference)
+        dc = pu.commutant(c)
+        assert dc.same_span(basis_commutant(reference))
+        assert dc.same_span(algebra)
+
+    def test_full_m16_is_fast_and_small(self):
+        # basis of matrix units, so generate_algebra's closure is not timed
+        n = 16
+        units = [np.outer(e, f) for e in np.eye(n) for f in np.eye(n)]
+        gen = rand_matrix(np.random.default_rng(16), n, n)
+        a = pu.StarAlgebra(n, [gen], units)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            c = pu.commutant(a)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.linear_dim == 1
+        assert elapsed < 1.0
+        assert peak < 200 * 2**20
 
 
 class TestContains:
