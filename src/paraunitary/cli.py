@@ -9,7 +9,6 @@ flags and seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -32,19 +31,6 @@ from .numfield import (
     tolerances,
 )
 from .ppu import FactorList, factor_positive, join, leq, meet, random_ppu
-
-
-@dataclasses.dataclass(frozen=True)
-class CliConfig:
-    tol_rank: float
-    tol_eq: float
-    tol_trim: float
-    seed: int
-    samples: int
-    out: str | None
-
-    def tolerances(self) -> Tolerances:
-        return Tolerances(rank=self.tol_rank, eq=self.tol_eq, trim=self.tol_trim)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -125,16 +111,7 @@ def _emit(payload, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _config(args) -> CliConfig:
-    if args.seed < 0:
-        raise InputError("seed must be non-negative")
-    if args.samples < 0:
-        raise InputError("sample count must be non-negative")
-    return CliConfig(args.tol_rank, args.tol_eq, args.tol_trim,
-                     args.seed, args.samples, args.out)
-
-
-def _cmd_factor(args, cfg: CliConfig) -> int:
+def _cmd_factor(args) -> int:
     algebra = algebra_from_json(_load_json(args.algebra))
     op = laurent_from_json(_load_json(args.element))
     shift = max(0, -op.lo)
@@ -143,59 +120,61 @@ def _cmd_factor(args, cfg: CliConfig) -> int:
     result = FactorList(shift, peeled.factors)
     residual_op = result.assemble(algebra).op - op
     residual = max((frob(c) for c in residual_op.coeffs.values()), default=0.0)
-    _emit(factor_list_to_json(result), cfg.out)
+    if residual > tolerances().eq:
+        raise NumericalError(f"reconstruction residual {residual:.3e} exceeds tolerance")
+    _emit(factor_list_to_json(result), args.out)
     sys.stderr.write(canonical_dumps({"reconstruction_residual": residual}) + "\n")
     return 0
 
 
-def _cmd_lattice(args, cfg: CliConfig) -> int:
+def _cmd_lattice(args) -> int:
     algebra = algebra_from_json(_load_json(args.algebra))
     a = PpuElement(laurent_from_json(_load_json(args.a)), algebra)
     b = PpuElement(laurent_from_json(_load_json(args.b)), algebra)
     if args.op == "leq":
-        _emit(leq(a, b), cfg.out)
+        _emit(leq(a, b), args.out)
     else:
         result = meet(a, b) if args.op == "meet" else join(a, b)
-        _emit(laurent_to_json(result.op), cfg.out)
+        _emit(laurent_to_json(result.op), args.out)
     return 0
 
 
-def _cmd_verify(args, cfg: CliConfig) -> int:
+def _cmd_verify(args) -> int:
     algebra = algebra_from_json(_load_json(args.algebra))
     checks = None
     if args.checks is not None:
         checks = [name.strip() for name in args.checks.split(",") if name.strip()]
-    reports = axioms.run_suite(algebra, checks, samples=cfg.samples,
-                               seed=cfg.seed, n_points=args.points)
-    _emit([r.to_json() for r in reports], cfg.out)
+    reports = axioms.run_suite(algebra, checks, samples=args.samples,
+                               seed=args.seed, n_points=args.points)
+    _emit([r.to_json() for r in reports], args.out)
     ok = all(r.passed for r in reports) and not any(r.inconclusive for r in reports)
     return 0 if ok else 1
 
 
-def _cmd_random(args, cfg: CliConfig) -> int:
+def _cmd_random(args) -> int:
     algebra = algebra_from_json(_load_json(args.algebra))
     if args.factors < 0:
         raise InputError("factor count must be non-negative")
-    element = random_ppu(algebra, args.factors, args.shift, cfg.seed)
-    _emit(laurent_to_json(element.op), cfg.out)
+    element = random_ppu(algebra, args.factors, args.shift, args.seed)
+    _emit(laurent_to_json(element.op), args.out)
     return 0
 
 
-def _cmd_commutant(args, cfg: CliConfig) -> int:
+def _cmd_commutant(args) -> int:
     algebra = algebra_from_json(_load_json(args.algebra))
     comm = algebra.commutant
     _emit({"dim": comm.dim, "generators": [matrix_to_json(b) for b in comm.basis]},
-          cfg.out)
+          args.out)
     return 0
 
 
-def _cmd_eval(args, cfg: CliConfig) -> int:
+def _cmd_eval(args) -> int:
     op = laurent_from_json(_load_json(args.element))
     try:
         z = complex(args.z)
     except ValueError as exc:
         raise InputError(f"cannot parse evaluation point {args.z!r}") from exc
-    _emit(matrix_to_json(op.eval_at(z)), cfg.out)
+    _emit(matrix_to_json(op.eval_at(z)), args.out)
     return 0
 
 
@@ -217,9 +196,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     previous = tolerances()
     try:
-        cfg = _config(args)
-        set_tolerances(cfg.tolerances())
-        return _COMMANDS[args.command](args, cfg)
+        if args.seed < 0:
+            raise InputError("seed must be non-negative")
+        if args.samples < 0:
+            raise InputError("sample count must be non-negative")
+        set_tolerances(Tolerances(rank=args.tol_rank, eq=args.tol_eq, trim=args.tol_trim))
+        return _COMMANDS[args.command](args)
     except InputError as exc:
         sys.stderr.write(canonical_dumps({"error": str(exc), "kind": "input"}) + "\n")
         return 2

@@ -72,19 +72,16 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (TypeError, KeyError) as exc:
-        raise InputError("matrix JSON needs rows, cols, data") from exc
-    if rows < 0 or cols < 0 or len(data) != rows:
-        raise InputError("matrix JSON shape mismatch")
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
-        if len(row) != cols:
-            raise InputError("matrix JSON shape mismatch")
-        for j, entry in enumerate(row):
-            re, im = entry
-            out[i, j] = complex(float(re), float(im))
-    return as_matrix(out)
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        data = np.asarray(obj["data"], dtype=np.float64)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise InputError("matrix JSON needs integer rows, cols and numeric data") from exc
+    shape = (rows, cols, 2)
+    # an empty matrix has no entries to carry the trailing axes
+    if data.shape != shape[: data.ndim] or (data.size and data.ndim != 3):
+        raise InputError(f"matrix JSON data has shape {data.shape}, expected {shape}")
+    # [re, im] pairs are the memory layout of complex128
+    return as_matrix(data.reshape(shape).view(np.complex128)[..., 0])
 
 
 def subspace_to_json(s: Subspace) -> dict:
@@ -103,10 +100,12 @@ def algebra_to_json(a: StarAlgebra) -> dict:
 def algebra_from_json(obj) -> StarAlgebra:
     try:
         dim, gens = int(obj["dim"]), obj["generators"]
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise InputError("algebra JSON needs dim and generators") from exc
     if dim < 1:
         raise InputError("algebra dimension must be positive")
+    if not isinstance(gens, list):
+        raise InputError("algebra generators must be a list")
     return generate_algebra(dim, [matrix_from_json(g) for g in gens])
 
 
@@ -120,14 +119,20 @@ def laurent_to_json(op: LaurentOp) -> dict:
 def laurent_from_json(obj) -> LaurentOp:
     try:
         dim, coeffs = int(obj["dim"]), obj["coeffs"]
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise InputError("Laurent JSON needs dim and coeffs") from exc
+    if dim < 1:
+        raise InputError("Laurent dimension must be positive")
+    if not isinstance(coeffs, dict):
+        raise InputError("Laurent coeffs must be an object")
     parsed = {}
     for key, mat in coeffs.items():
         try:
             e = int(key)
         except ValueError as exc:
             raise InputError(f"bad exponent key {key!r}") from exc
+        if e in parsed:  # "0" and "00" name the same exponent
+            raise InputError(f"duplicate exponent key {key!r}")
         parsed[e] = matrix_from_json(mat)
     return LaurentOp(dim, parsed)
 

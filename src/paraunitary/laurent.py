@@ -119,7 +119,7 @@ class LaurentOp:
 
     def eval_at(self, z: complex) -> np.ndarray:
         z = complex(z)
-        if abs(abs(z) - 1.0) > tolerances().eq:
+        if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
             raise InputError("evaluation point must lie on the unit circle")
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for e, c in self.coeffs.items():
@@ -247,6 +247,6 @@ def twist_alpha(el: PpuElement, z: complex) -> LaurentOp:
     LaurentOp return type.
     """
     z = complex(z)
-    if abs(abs(z) - 1.0) > tolerances().eq:
+    if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
         raise InputError("twist point must lie on the unit circle")
     return LaurentOp(el.op.dim, {e: (z ** (-e)) * c for e, c in el.op.coeffs.items()})

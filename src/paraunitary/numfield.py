@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 
 import numpy as np
 
@@ -36,10 +37,12 @@ class Tolerances:
     trim: float = 1e-10
 
     def __post_init__(self):
-        if not (self.rank > 0.0 and self.eq > 0.0 and self.trim > 0.0):
-            raise InputError("tolerances must be strictly positive")
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.rank, self.eq, self.trim)):
+            raise InputError("tolerances must be finite and strictly positive")
         if self.rank > 1e-6:
             raise InputError("rank cutoff must not exceed 1e-6")
+        if self.eq > 1e-4:
+            raise InputError("equality tolerance must not exceed 1e-4")
 
 
 _ACTIVE = Tolerances()
@@ -146,6 +149,19 @@ def columns_outside(cols: np.ndarray, s: Subspace) -> float:
     return frob(residual)
 
 
+def invariance_residual(moved, s: Subspace) -> float:
+    """Worst relative ||(I - pi_s) m||_F / max(1, ||m||_F) over the images ``moved``.
+
+    Each image is an operator applied to the frame of ``s``; its last axis
+    indexes columns and any leading axes flatten, in order, into the
+    ambient index.  Zero means every image stays inside ``s``.
+    """
+    return max(
+        (columns_outside(m.reshape(-1, m.shape[-1]), s) / max(1.0, frob(m)) for m in moved),
+        default=0.0,
+    )
+
+
 def zero_subspace(n: int) -> Subspace:
     return Subspace(np.zeros((n, 0), dtype=np.complex128))
 
@@ -198,10 +214,6 @@ def join_subspace(a: Subspace, b: Subspace) -> Subspace:
 
 def ortho_complement(s: Subspace) -> Subspace:
     return kernel(s.frame.conj().T)
-
-
-def projector(s: Subspace) -> np.ndarray:
-    return s.projector()
 
 
 def subspace_from_projector(p) -> Subspace:

@@ -10,6 +10,7 @@ and factorization into degree-one factors all computable.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .numfield import (
     InputError,
     NumericalError,
     Subspace,
-    columns_outside,
-    frob,
+    invariance_residual,
     join_subspace,
     kernel,
     meet_subspace,
@@ -68,12 +68,6 @@ def leq(a: PpuElement, b: PpuElement) -> bool:
     return in_positive_cone(a.op.star() * b.op)
 
 
-def leq_mirror(a: PpuElement, b: PpuElement) -> bool:
-    """The opposite-sided comparison (b a^-1 in the cone), for experiments."""
-    require_same_algebra(a, b)
-    return in_positive_cone(b.op * a.op.star())
-
-
 def order_unit_exponent(el: PpuElement) -> int:
     """Least k with el <= t^k; equals the top exponent (0 for the identity)."""
     return el.op.hi
@@ -87,6 +81,10 @@ class WindowSubspace:
     the window covers the exponent interval (offset, offset+width].  The
     space must be stable under the block downshift (slot s -> s-1, slot 1
     discarded) and under the coefficientwise action of the commutant.
+    The ambient index is slot-major, so the frame reshapes to a
+    (width, n, dim) slot array (slot, ambient, column), and slot operators
+    act on it by slicing and batched products; no (n width) x (n width)
+    operator is ever formed.
     """
 
     algebra: StarAlgebra
@@ -104,17 +102,11 @@ class WindowSubspace:
         """Worst violation of the two stability invariants."""
         if self.space.dim == 0 or self.width == 0:
             return 0.0
-        n, w = self.algebra.dim, self.width
-        frame = self.space.frame
-        down = np.kron(np.eye(w, k=1), np.eye(n))
-        moved = down @ frame
-        worst = columns_outside(moved, self.space) / max(1.0, frob(moved))
-        for c in self.algebra.commutant.basis:
-            moved = np.kron(np.eye(w), c) @ frame
-            worst = max(
-                worst, columns_outside(moved, self.space) / max(1.0, frob(moved))
-            )
-        return worst
+        slots = self.space.frame.reshape(self.width, self.algebra.dim, -1)
+        down = np.zeros_like(slots)
+        down[:-1] = slots[1:]
+        commuted = (c @ slots for c in self.algebra.commutant.basis)
+        return invariance_residual(itertools.chain([down], commuted), self.space)
 
     def require_valid(self, exc=InputError) -> None:
         residual = self.stability_residual()
@@ -132,15 +124,17 @@ def omega_window(el: PpuElement, m: int, n: int) -> WindowSubspace:
     op = el.op
     if m > op.lo or n < op.hi:
         raise InputError("window too small for the element")
-    amb = op.dim
-    w = n - m
-    js = range(m - op.hi, 1)
-    cols = np.zeros((amb * w, amb * len(js)), dtype=np.complex128)
-    for idx, j in enumerate(js):
-        for s in range(1, w + 1):
-            c = op.coeffs.get(m + s - j)
-            if c is not None:
-                cols[(s - 1) * amb : s * amb, idx * amb : (idx + 1) * amb] = c
+    amb, w = op.dim, n - m
+    # column block q is the image of t^j e_i for j = m - hi + q, so block
+    # (slot s, q) holds the coefficient of t^(m+s-j); stack[d] holds that
+    # of t^(m+1+d), which makes the window block-Toeplitz in it
+    span = op.hi - m + 1
+    stack = np.zeros((w + span - 1, amb, amb), dtype=np.complex128)
+    for e, c in op.coeffs.items():
+        if e > m:
+            stack[e - m - 1] = c
+    toeplitz = stack[np.subtract.outer(np.arange(w), np.arange(span)) + span - 1]
+    cols = toeplitz.transpose(0, 2, 1, 3).reshape(amb * w, amb * span)
     window = WindowSubspace(el.algebra, m, w, orthonormal_basis(cols))
     window.require_valid(NumericalError)
     return window
@@ -221,18 +215,21 @@ def _peel(window: WindowSubspace) -> PpuElement:
     while space.dim > 0:
         if len(members) >= w:
             raise NumericalError("window peel exceeded the width cap")
-        # slot-1 fiber {x : x embedded at slot 1 lies in the space}
-        embed = np.zeros((amb * w, amb), dtype=np.complex128)
-        embed[:amb] = np.eye(amb)
-        m1 = kernel(embed - space.frame @ (space.frame.conj().T @ embed))
+        frame = space.frame
+        # slot-1 fiber {x : x embedded at slot 1 lies in the space}: the
+        # kernel of (I - pi) restricted to the first amb coordinates
+        fiber = -frame @ frame[:amb].conj().T
+        fiber[:amb] += np.eye(amb)
+        m1 = kernel(fiber)
         if m1.dim == 0:
             raise NumericalError("window peel stalled on a nonzero space")
         members.append(certify_member(algebra, m1))
+        # windowed action of the factor's inverse t^-1 P + (1 - P)
         proj = m1.projector()
-        block = np.kron(np.eye(w, k=1), proj) + np.kron(
-            np.eye(w), np.eye(amb) - proj
-        )
-        new_space = orthonormal_basis(block @ space.frame)
+        slots = frame.reshape(w, amb, -1)
+        peeled = (np.eye(amb) - proj) @ slots
+        peeled[:-1] += proj @ slots[1:]
+        new_space = orthonormal_basis(peeled.reshape(frame.shape))
         if new_space.dim >= space.dim:
             raise NumericalError("window peel failed to reduce the dimension")
         space = new_space

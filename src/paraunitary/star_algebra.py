@@ -19,8 +19,8 @@ from .numfield import (
     Subspace,
     _rank_from_singular_values,
     as_matrix,
-    columns_outside,
     frob,
+    invariance_residual,
     join_subspace,
     kernel,
     mat_residual,
@@ -206,13 +206,11 @@ def is_member_XAprime(a: StarAlgebra, s: Subspace) -> bool:
         raise InputError("ambient dimension mismatch")
     proj_residual = a.membership_residual(s.projector())
     by_projector = proj_residual <= tolerances().eq
-    inv_residual = 0.0
-    if s.dim > 0:
-        for c in a.commutant.basis:
-            moved = c @ s.frame
-            inv_residual = max(
-                inv_residual, columns_outside(moved, s) / max(1.0, frob(moved))
-            )
+    inv_residual = (
+        invariance_residual((c @ s.frame for c in a.commutant.basis), s)
+        if s.dim > 0
+        else 0.0
+    )
     by_invariance = inv_residual <= tolerances().eq
     if by_projector != by_invariance:
         raise NumericalError(

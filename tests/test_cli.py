@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
-from paraunitary import jsonio, ppu
+from paraunitary import cli, jsonio, ppu
 from paraunitary.cli import main
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import zero_subspace
@@ -184,6 +184,9 @@ def test_eval_at_minus_one(files, capsys):
 def test_eval_rejects_off_circle(files, capsys):
     code, _, err = run_cli(capsys, "eval", files["t.json"], "--z", "0.5")
     assert code == 2
+    code, out, err = run_cli(capsys, "eval", files["t.json"], "--z", "nan")
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "input"
 
 
 def test_out_flag_writes_file(files, capsys, tmp_path):
@@ -200,6 +203,77 @@ def test_tolerance_flags_validated(files, capsys):
         capsys, "factor", files["alg.json"], files["one.json"], "--tol-eq", "-1"
     )
     assert code == 2
+    for flag, value in [("--tol-eq", "inf"), ("--tol-eq", "1e300"),
+                        ("--tol-rank", "nan"), ("--tol-trim", "inf")]:
+        code, out, err = run_cli(
+            capsys, "factor", files["alg.json"], files["one.json"], flag, value
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "input"
+
+
+def test_infinite_tolerance_cannot_pass_a_non_paraunitary_factor(files, capsys, tmp_path):
+    # diag(2, 1) is not paraunitary; with eq = inf every residual check
+    # would pass and factor would exit 0 with residual 1
+    element = tmp_path / "diag21.json"
+    element.write_text(jsonio.canonical_dumps(
+        jsonio.laurent_to_json(LaurentOp(2, {0: np.diag([2.0, 1.0])}))
+    ))
+    code, out, _ = run_cli(capsys, "factor", files["alg.json"], str(element))
+    assert code == 1 and out == ""
+    code, out, err = run_cli(
+        capsys, "factor", files["alg.json"], str(element), "--tol-eq", "inf"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "input"
+
+
+def test_factor_checks_its_reconstruction_residual(files, capsys, monkeypatch):
+    # a peel that drops every factor reassembles to the identity, which
+    # is a distance of 1 from the diagonal element
+    monkeypatch.setattr(cli, "factor_positive", lambda el: ppu.FactorList(0, ()))
+    code, out, err = run_cli(capsys, "factor", files["alg.json"], files["el.json"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["kind"] == "numerical"
+    assert "reconstruction residual" in json.loads(err)["error"]
+
+
+_ONE = [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": [[[1.0]]]}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": [["x"]]}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": [[["x", 0]]]}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": [[[1, 0], [2]]]}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 2, "cols": 1, "data": _ONE}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": "a", "cols": 1, "data": _ONE}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": _ONE},
+                                      "00": {"rows": 1, "cols": 1, "data": _ONE}}}),
+        ("eval", {"dim": 1, "coeffs": []}),
+        ("eval", {"dim": 1, "coeffs": "x"}),
+        ("eval", {"dim": -3, "coeffs": {}}),
+        ("eval", {"dim": "x", "coeffs": {}}),
+        ("eval", [1, 2]),
+        ("algebra", {"dim": 1, "generators": 5}),
+        ("algebra", {"dim": "x", "generators": []}),
+        ("algebra", {"dim": 1, "generators": [{"rows": 1, "cols": 1, "data": [[[1]]]}]}),
+    ],
+    ids=["one-element-entry", "string-entry", "string-part", "ragged-entries",
+         "row-count", "string-rows", "duplicate-exponent", "coeffs-list", "coeffs-string", "negative-dim",
+         "string-dim", "not-an-object", "generators-int", "algebra-string-dim",
+         "generator-entry"],
+)
+def test_malformed_payload_is_an_input_error(files, capsys, tmp_path, command, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    argv = ["eval", str(path)] if command == "eval" else ["commutant", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["kind"] == "input"
 
 
 def test_console_entry_point_runs():

@@ -97,8 +97,9 @@ class TestEval:
         assert mat_residual(LaurentOp.t_power(2, 1).eval_at(z), z * np.eye(2)) < 1e-14
 
     def test_rejects_off_circle(self):
-        with pytest.raises(InputError):
-            LaurentOp.identity(2).eval_at(0.5)
+        for z in (0.5, complex("nan"), complex("inf")):
+            with pytest.raises(InputError):
+                LaurentOp.identity(2).eval_at(z)
 
     def test_multiplicative_and_star_respecting(self):
         a, b = random_op(6), random_op(7)
@@ -225,6 +226,12 @@ class TestTwist:
         assert lhs.close_to(rhs)
         assert paraunitarity_residual(lhs) < 1e-10
         assert mat_residual(lhs.eval_at(z), np.eye(2)) < 1e-10
+
+    def test_rejects_off_circle(self):
+        el = pu.ppu_t_power(diag_algebra(2), 1)
+        for z in (0.5, complex("nan")):
+            with pytest.raises(InputError):
+                pu.twist_alpha(el, z)
 
 
 def test_trim_drops_dust_relative_to_peak():

@@ -121,6 +121,17 @@ class TestMeetJoin:
             pu.meet_subspace(random_subspace(2, 1), random_subspace(3, 1))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rank", float("nan")), ("eq", float("inf")), ("trim", float("inf")),
+     ("eq", 0.0), ("eq", 1e-3), ("rank", 1e-5)],
+)
+def test_tolerances_must_be_finite_positive_and_bounded(field, value):
+    with pytest.raises(InputError):
+        pu.Tolerances(**{field: value})
+    assert pu.Tolerances(eq=1e-4).eq == 1e-4
+
+
 class TestComplementAndProjector:
     def test_complement_of_line(self):
         c = pu.ortho_complement(pu.orthonormal_basis(E1))
@@ -143,9 +154,9 @@ class TestComplementAndProjector:
 
     def test_projector_examples(self):
         assert mat_residual(
-            pu.projector(pu.orthonormal_basis(E1)), np.diag([1.0, 0.0])
+            pu.orthonormal_basis(E1).projector(), np.diag([1.0, 0.0])
         ) < 1e-12
-        assert frob(pu.projector(zero_subspace(2))) == 0.0
+        assert frob(zero_subspace(2).projector()) == 0.0
 
     def test_from_projector_roundtrip(self):
         p = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
