@@ -5,11 +5,12 @@ projection factors, decide the divisibility order, compute lattice
 meets and joins through the windowed invariant-subspace correspondence,
 and machine-verify the axioms that make the group the structure group
 of the projection orthomodular lattice of the commutant.
+
+The error classes, ``LaurentOp`` and the single axiom checks are
+imported from their modules (``numfield``, ``laurent``, ``axioms``).
 """
 
 from .numfield import (
-    InputError,
-    NumericalError,
     Subspace,
     Tolerances,
     join_subspace,
@@ -19,26 +20,19 @@ from .numfield import (
     orthonormal_basis,
     set_tolerances,
     subspace_from_projector,
-    tolerance_scope,
     tolerances,
 )
 from .star_algebra import (
-    InvariantSubspace,
     StarAlgebra,
     certify_member,
     check_orthomodular,
     commutant,
     generate_algebra,
     is_member_XAprime,
-    is_perp,
-    oml_complement,
-    oml_join,
-    oml_meet,
     partial_oplus,
     random_projection_in,
 )
 from .laurent import (
-    LaurentOp,
     PpuElement,
     in_positive_cone,
     is_paraunitary,
@@ -49,7 +43,6 @@ from .laurent import (
 )
 from .ppu import (
     FactorList,
-    WindowSubspace,
     complement_in_t,
     factor_positive,
     gamma_inverse,
@@ -62,51 +55,27 @@ from .ppu import (
     random_ppu,
     reconstruct,
 )
-from .axioms import (
-    CHECK_NAMES,
-    check_commutative_model,
-    check_gamma_oml,
-    check_gvm,
-    check_normality,
-    check_order_unit,
-    check_singularity,
-    diagonal_algebra,
-    run_suite,
-)
-from .reporting import CheckReport, derive_seed
+from .axioms import CHECK_NAMES
+from .reporting import derive_seed
 
 __all__ = [
     "CHECK_NAMES",
-    "CheckReport",
     "FactorList",
-    "InputError",
-    "InvariantSubspace",
-    "LaurentOp",
-    "NumericalError",
     "PpuElement",
     "StarAlgebra",
     "Subspace",
     "Tolerances",
-    "WindowSubspace",
     "certify_member",
-    "check_commutative_model",
-    "check_gamma_oml",
-    "check_gvm",
-    "check_normality",
-    "check_order_unit",
     "check_orthomodular",
-    "check_singularity",
     "commutant",
     "complement_in_t",
     "derive_seed",
-    "diagonal_algebra",
     "factor_positive",
     "gamma_inverse",
     "generate_algebra",
     "in_positive_cone",
     "is_member_XAprime",
     "is_paraunitary",
-    "is_perp",
     "is_pure",
     "join",
     "join_subspace",
@@ -115,9 +84,6 @@ __all__ = [
     "meet",
     "meet_subspace",
     "omega_window",
-    "oml_complement",
-    "oml_join",
-    "oml_meet",
     "order_unit_exponent",
     "ortho_complement",
     "orthonormal_basis",
@@ -128,10 +94,8 @@ __all__ = [
     "random_ppu",
     "random_projection_in",
     "reconstruct",
-    "run_suite",
     "set_tolerances",
     "subspace_from_projector",
-    "tolerance_scope",
     "tolerances",
     "twist_alpha",
 ]

@@ -70,12 +70,26 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer; a float is not truncated and true is not 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = np.asarray(obj["data"], dtype=np.float64)
+        rows, cols = _json_int(obj["rows"]), _json_int(obj["cols"])
+        data = np.array(obj["data"], dtype=object)
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError("matrix JSON needs integer rows, cols and numeric data") from exc
+    # numeric strings and booleans would survive a float cast
+    if not {type(x) for x in data.flat} <= {int, float}:
+        raise InputError("matrix JSON data entries must be real numbers")
+    try:
+        data = data.astype(np.float64)
+    except OverflowError as exc:
+        raise InputError("matrix JSON data entry out of range") from exc
     shape = (rows, cols, 2)
     # an empty matrix has no entries to carry the trailing axes
     if data.shape != shape[: data.ndim] or (data.size and data.ndim != 3):
@@ -99,7 +113,7 @@ def algebra_to_json(a: StarAlgebra) -> dict:
 
 def algebra_from_json(obj) -> StarAlgebra:
     try:
-        dim, gens = int(obj["dim"]), obj["generators"]
+        dim, gens = _json_int(obj["dim"]), obj["generators"]
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError("algebra JSON needs dim and generators") from exc
     if dim < 1:
@@ -118,7 +132,7 @@ def laurent_to_json(op: LaurentOp) -> dict:
 
 def laurent_from_json(obj) -> LaurentOp:
     try:
-        dim, coeffs = int(obj["dim"]), obj["coeffs"]
+        dim, coeffs = _json_int(obj["dim"]), obj["coeffs"]
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError("Laurent JSON needs dim and coeffs") from exc
     if dim < 1:

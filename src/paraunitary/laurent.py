@@ -100,13 +100,7 @@ class LaurentOp:
     def __mul__(self, other: "LaurentOp") -> "LaurentOp":
         """Cauchy convolution of the coefficient maps."""
         self._binary_check(other)
-        acc: dict[int, np.ndarray] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                e = i + j
-                prod = a @ b
-                acc[e] = acc[e] + prod if e in acc else prod
-        return LaurentOp(self.dim, acc)
+        return LaurentOp(self.dim, _convolve(self.coeffs, other.coeffs))
 
     def scale(self, z: complex) -> "LaurentOp":
         return LaurentOp(self.dim, {e: z * c for e, c in self.coeffs.items()})
@@ -141,12 +135,74 @@ class LaurentOp:
         return f"LaurentOp(dim={self.dim}, support={list(self.support())})"
 
 
+def _convolve(a: dict, b: dict) -> dict:
+    """Untrimmed Cauchy product of two coefficient maps, keyed by exponent."""
+    acc: dict[int, np.ndarray] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            e = i + j
+            prod = x @ y
+            acc[e] = acc[e] + prod if e in acc else prod
+    return acc
+
+
+def _product_residual(op: LaurentOp) -> float:
+    """||op* op - 1|| over the coefficients of the untrimmed product."""
+    adjoint = {-e: c.conj().T for e, c in op.coeffs.items()}
+    acc = _convolve(adjoint, op.coeffs)
+    one = np.eye(op.dim)
+    total = sum(frob(c - one if e == 0 else c) ** 2 for e, c in acc.items())
+    return math.sqrt(total if 0 in acc else total + op.dim)
+
+
+def _circle_residual(op: LaurentOp, points: int) -> float:
+    """Root mean square of ||F(z)^H F(z) - 1||_F over the points-th roots of unity."""
+    # exponents relative to lo fit in int64 even when lo does not
+    offsets = [e - op.lo for e in op.coeffs]
+    # reducing the phase mod points keeps every angle in [0, 2 pi)
+    turns = np.outer(np.arange(points), offsets) % points
+    dft = np.exp((2j * np.pi / points) * turns)
+    stack = np.stack(list(op.coeffs.values())).reshape(len(offsets), -1)
+    values = (dft @ stack).reshape(points, op.dim, op.dim)
+    gram = values.conj().swapaxes(1, 2) @ values
+    return frob(gram - np.eye(op.dim)) / math.sqrt(points)
+
+
 def paraunitarity_residual(op: LaurentOp) -> float:
-    one = LaurentOp.identity(op.dim)
-    scale = max(1.0, op.norm() ** 2)
-    left = (op.star() * op - one).norm()
-    right = (op * op.star() - one).norm()
-    return max(left, right) / scale
+    """||op* op - 1|| / max(1, ||op||^2), untrimmed.
+
+    This is also ||op op* - 1|| / max(1, ||op||^2): for a square matrix
+    A, A^H A and A A^H have the same eigenvalues, so ||A^H A - 1||_F =
+    ||A A^H - 1||_F, at every point z of the unit circle and hence, by
+    Parseval's identity below, over the coefficients.  So one side
+    certifies both.
+
+    op* op is a Laurent polynomial with exponents in [-(span-1), span-1],
+    span = hi - lo + 1, so 2 span - 1 coefficients.  Its values at the
+    m = 2 span - 1 roots of unity determine them (the length-m DFT is
+    invertible), and by Parseval's identity the l2 norm of the
+    coefficients of op* op - 1 is the root mean square over those points
+    of ||F(z)^H F(z) - 1||_F, where F(z) is op evaluated at z (the factor
+    z^lo cancels).  So the residual costs one product of the m x t DFT
+    matrix with the t stacked coefficients and m products of n x n
+    matrices, instead of the t^2 products of the Cauchy product.
+
+    Span guard: the arrays grow with m, that is with the span, not only
+    with the number of terms t (the DFT matrix holds m t entries, the
+    values m n^2), so the unit circle is used only while m <= t^2.  A
+    sparse wide-span operator such as P t^N + (1 - P) takes the Cauchy
+    product instead, whose size follows the distinct exponent sums.
+
+    Neither path trims: the residual is the exact l2 norm of the
+    coefficients of op* op - 1, including those below the ``trim``
+    threshold that ``LaurentOp`` construction would drop.
+    """
+    points = 2 * (op.hi - op.lo) + 1
+    if points <= len(op.coeffs) ** 2:
+        residual = _circle_residual(op, points)
+    else:
+        residual = _product_residual(op)
+    return residual / max(1.0, op.norm() ** 2)
 
 
 def is_paraunitary(op: LaurentOp) -> bool:

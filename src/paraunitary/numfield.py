@@ -43,6 +43,8 @@ class Tolerances:
             raise InputError("rank cutoff must not exceed 1e-6")
         if self.eq > 1e-4:
             raise InputError("equality tolerance must not exceed 1e-4")
+        if self.trim > 1e-6:
+            raise InputError("trim threshold must not exceed 1e-6")
 
 
 _ACTIVE = Tolerances()

@@ -189,6 +189,20 @@ def test_eval_rejects_off_circle(files, capsys):
     assert json.loads(err)["kind"] == "input"
 
 
+def test_eval_rejects_a_trim_that_drops_terms(capsys, tmp_path):
+    # 1 + 0.5 t is 1.5 at z = 1; a trim of 0.9 would drop the t term
+    element = tmp_path / "affine.json"
+    element.write_text(jsonio.canonical_dumps(jsonio.laurent_to_json(
+        LaurentOp(1, {0: np.eye(1), 1: 0.5 * np.eye(1)})
+    )))
+    code, out, _ = run_cli(capsys, "eval", str(element), "--z", "1")
+    assert code == 0
+    assert np.allclose(jsonio.matrix_from_json(json.loads(out)), 1.5)
+    code, out, err = run_cli(capsys, "eval", str(element), "--z", "1", "--tol-trim", "0.9")
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "input"
+
+
 def test_out_flag_writes_file(files, capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(
@@ -260,11 +274,22 @@ _ONE = [[[1.0, 0.0]]]
         ("algebra", {"dim": 1, "generators": 5}),
         ("algebra", {"dim": "x", "generators": []}),
         ("algebra", {"dim": 1, "generators": [{"rows": 1, "cols": 1, "data": [[[1]]]}]}),
+        ("eval", {"dim": 1.7, "coeffs": {"0": {"rows": 1, "cols": 1, "data": _ONE}}}),
+        ("eval", {"dim": True, "coeffs": {"0": {"rows": 1, "cols": 1, "data": _ONE}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1.7, "cols": 1, "data": _ONE}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": True, "data": _ONE}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": [[["1.5", 0]]]}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": [[[True, False]]]}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": [[[1.0, True]]]}}}),
+        ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": [[[10**400, 0]]]}}}),
+        ("algebra", {"dim": 2.5, "generators": []}),
     ],
     ids=["one-element-entry", "string-entry", "string-part", "ragged-entries",
          "row-count", "string-rows", "duplicate-exponent", "coeffs-list", "coeffs-string", "negative-dim",
          "string-dim", "not-an-object", "generators-int", "algebra-string-dim",
-         "generator-entry"],
+         "generator-entry", "float-dim", "bool-dim", "float-rows", "bool-cols",
+         "numeric-string-entry", "bool-entries", "bool-among-floats", "huge-integer-entry",
+         "algebra-float-dim"],
 )
 def test_malformed_payload_is_an_input_error(files, capsys, tmp_path, command, payload):
     path = tmp_path / "payload.json"

@@ -1,10 +1,14 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import paraunitary as pu
+from paraunitary import laurent
 from paraunitary.laurent import LaurentOp, paraunitarity_residual
-from paraunitary.numfield import InputError, NumericalError, mat_residual
+from paraunitary.numfield import InputError, NumericalError, mat_residual, tolerance_scope
 
 from conftest import diag_algebra, full_algebra, rand_matrix
 
@@ -245,3 +249,88 @@ def test_trim_drops_dust_relative_to_peak():
 def test_zero_op_degree_convention():
     z = LaurentOp.zero(2)
     assert z.is_zero and z.lo == 0 and z.hi == 0
+
+
+def reference_residual(op):
+    """The residual from the two full Cauchy products, trimming nothing."""
+    with tolerance_scope(trim=1e-300):
+        one = LaurentOp.identity(op.dim)
+        scale = max(1.0, op.norm() ** 2)
+        left = (op.star() * op - one).norm()
+        right = (op * op.star() - one).norm()
+        return max(left, right) / scale
+
+
+def sparse_ppu(n, gaps):
+    """Product of t^g P_g + (1 - P_g) over commuting diagonal projections."""
+    op = LaurentOp.identity(n)
+    for k, g in enumerate(gaps):
+        proj = np.diag([float((i >> k) & 1) for i in range(n)])
+        op = op * LaurentOp(n, {g: proj, 0: np.eye(n) - proj})
+    return op
+
+
+def residual_cases(n):
+    rng = np.random.default_rng([n, 41])
+    unitary = np.linalg.qr(rand_matrix(rng, n, n))[0]
+    el = pu.random_ppu(full_algebra(n, seed=26), 5, 1, seed=14).op
+    dust = LaurentOp(n, {e: 1e-6 * rand_matrix(rng, n, n) for e in el.coeffs})
+    return {
+        "zero": LaurentOp.zero(n),
+        "single-unitary": LaurentOp(n, {3: unitary}),
+        "single-random": LaurentOp(n, {-2: rand_matrix(rng, n, n)}),
+        "shifted": el.shifted(-9),
+        "far-shifted": el.shifted(10**30),
+        "gapped-random": LaurentOp(n, {e: rand_matrix(rng, n, n) for e in (-4, 0, 1, 7)}),
+        "gapped-paraunitary": sparse_ppu(n, (3, 11)),
+        "paraunitary": el,
+        "perturbed": el + dust,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_circle_residual_matches_the_product_residual(n, monkeypatch):
+    cases = residual_cases(n)
+    circle = []
+    original = laurent._circle_residual
+    monkeypatch.setattr(
+        laurent, "_circle_residual", lambda op, m: circle.append(op) or original(op, m)
+    )
+    for name, op in cases.items():
+        got, want = paraunitarity_residual(op), reference_residual(op)
+        assert abs(got - want) <= 1e-12, (name, got, want)
+    # the dense elements take the unit circle, the sparse ones the products
+    assert 0 < len(circle) < len(cases)
+
+
+@pytest.mark.parametrize("gap", [1, 5], ids=["unit-circle", "products"])
+def test_residual_sees_what_the_trim_hides(gap):
+    eta = 1e-7
+    with tolerance_scope(trim=1e-6):
+        op = LaurentOp(2, {0: np.diag([1.0, eta]), gap: np.diag([0.0, 1.0])})
+        # op* op - 1 is eta diag(0, 1) at t^gap and t^-gap and eta^2 diag(0, 1)
+        # at 1; the products trim the first two at 1e-6 times their peak
+        trimmed = (op.star() * op - LaurentOp.identity(2)).norm()
+        assert trimmed < 1e-12
+        assert paraunitarity_residual(op) == pytest.approx(eta / np.sqrt(2), rel=1e-6)
+        assert not pu.is_paraunitary(op)
+    assert reference_residual(op) == pytest.approx(eta / np.sqrt(2), rel=1e-6)
+
+
+@pytest.mark.parametrize("gaps", [(10**6,), (10**6, 3 * 10**6)], ids=["one-gap", "two-gaps"])
+def test_wide_span_costs_nothing_in_proportion_to_the_span(gaps):
+    # a naive unit-circle residual would allocate 2 GB here
+    op = sparse_ppu(8, gaps)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        residual = paraunitarity_residual(op)
+        square = op * op
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 10 * 2**20, (elapsed, peak)
+    assert residual < 1e-12
+    # the coefficients are orthogonal projections, so only squares survive
+    assert square.support() == tuple(2 * e for e in op.support())

@@ -124,12 +124,13 @@ class TestMeetJoin:
 @pytest.mark.parametrize(
     "field, value",
     [("rank", float("nan")), ("eq", float("inf")), ("trim", float("inf")),
-     ("eq", 0.0), ("eq", 1e-3), ("rank", 1e-5)],
+     ("eq", 0.0), ("eq", 1e-3), ("rank", 1e-5), ("trim", 1e-5), ("trim", 0.9)],
 )
 def test_tolerances_must_be_finite_positive_and_bounded(field, value):
     with pytest.raises(InputError):
         pu.Tolerances(**{field: value})
     assert pu.Tolerances(eq=1e-4).eq == 1e-4
+    assert pu.Tolerances(trim=1e-6).trim == 1e-6
 
 
 class TestComplementAndProjector:
