@@ -64,9 +64,7 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "data": [
-            [[float(x.real), float(x.imag)] for x in row] for row in a
-        ],
+        "data": np.stack([a.real, a.imag], -1).tolist(),
     }
 
 

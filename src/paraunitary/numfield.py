@@ -100,11 +100,13 @@ def mats_close(a, b) -> bool:
     return mat_residual(a, b) <= tolerances().eq
 
 
-def _rank_from_singular_values(s: np.ndarray) -> int:
-    # relative cutoff; an all-zero spectrum gets rank 0 (absolute floor).
+def _rank_from_singular_values(s: np.ndarray, scale: float | None = None) -> int:
+    # cutoff relative to ``scale``, by default the largest singular value;
+    # an all-zero spectrum gets rank 0 (absolute floor).
     if s.size == 0 or s[0] <= tolerances().rank:
         return 0
-    return int(np.count_nonzero(s > tolerances().rank * s[0]))
+    cutoff = tolerances().rank * (s[0] if scale is None else scale)
+    return int(np.count_nonzero(s > cutoff))
 
 
 class Subspace:
@@ -172,13 +174,20 @@ def full_subspace(n: int) -> Subspace:
     return Subspace(np.eye(n, dtype=np.complex128))
 
 
-def orthonormal_basis(cols) -> Subspace:
-    """Orthonormal frame for the numerical column space of ``cols``."""
+def orthonormal_basis(cols, scale: float | None = None) -> Subspace:
+    """Orthonormal frame for the numerical column space of ``cols``.
+
+    A direction is kept when its singular value exceeds the rank cutoff
+    times ``scale``.  By default ``scale`` is the largest singular value,
+    so the rank is relative to ``cols`` itself; a caller whose columns are
+    residuals of larger vectors passes their scale instead, so that
+    rounding noise left by the subtraction is not kept as a direction.
+    """
     c = as_matrix(cols)
     if c.shape[1] == 0:
         return zero_subspace(c.shape[0])
     u, s, _ = np.linalg.svd(c, full_matrices=False)
-    return Subspace(u[:, : _rank_from_singular_values(s)])
+    return Subspace(u[:, : _rank_from_singular_values(s, scale)])
 
 
 def kernel(m) -> Subspace:

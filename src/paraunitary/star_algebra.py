@@ -17,7 +17,6 @@ from .numfield import (
     InputError,
     NumericalError,
     Subspace,
-    _rank_from_singular_values,
     as_matrix,
     frob,
     invariance_residual,
@@ -26,6 +25,7 @@ from .numfield import (
     mat_residual,
     meet_subspace,
     ortho_complement,
+    orthonormal_basis,
     subspace_residual,
     tolerances,
     zero_subspace,
@@ -116,47 +116,59 @@ class StarAlgebra:
         return f"StarAlgebra(dim={self.dim}, linear_dim={self.linear_dim})"
 
 
-def _orthonormalize_span(mats, n: int) -> list[np.ndarray]:
-    """Trace-orthonormal basis of the span of the given matrices."""
-    if not mats:
-        return []
-    stacked = np.stack([m.reshape(-1) for m in mats])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    return [vh[i].reshape(n, n) for i in range(_rank_from_singular_values(s))]
-
-
-def _seed_span(n: int, gens) -> list[np.ndarray]:
-    """Trace-orthonormal basis of span{1, g, g^* : g in gens}."""
-    seed_mats = [np.eye(n, dtype=np.complex128)]
-    for g in gens:
-        seed_mats.append(g)
-        seed_mats.append(g.conj().T)
-    return _orthonormalize_span(seed_mats, n)
+def _seed_span(n: int, gens) -> np.ndarray:
+    """Trace-orthonormal basis of span{1, g, g^* : g in gens}, one vec per row."""
+    mats = [np.eye(n)] + [m for g in gens for m in (g, g.conj().T)]
+    return orthonormal_basis(np.reshape(mats, (len(mats), n * n)).T).frame.T
 
 
 def generate_algebra(n: int, gens) -> StarAlgebra:
     """Smallest unital *-closed algebra containing the generators.
 
-    The closure loop multiplies all current basis pairs and
-    re-orthonormalizes until the linear dimension stabilizes; since the
-    dimension grows strictly until then, it terminates within n^2 rounds.
+    The span V starts as the trace-orthonormal seed S = span{1, g, g^*}.
+    Each round multiplies by S, on the left, only the directions that the
+    previous round added (in the first round, S itself): S times an older
+    direction was taken in an earlier round and lies in V already.  It
+    projects V out of these products twice and appends the directions of
+    the residual that pass the rank cutoff.  The first round that keeps
+    nothing ends the loop and is its certificate: V then contains 1 and S
+    and is closed under left multiplication by S, so it holds every word
+    in the g and g^*, which is the unital *-closure.  Every other round
+    adds at least one dimension, so at most n^2 rounds run.
+
+    The cutoff is relative to the scale of the products (at least 1),
+    never to the residual's own largest singular value, which may be
+    rounding noise when V already holds every product.  A direction kept
+    at singular value s is known only to a relative error of about
+    eps * scale / s, and that error re-enters the next round's residual;
+    once it can pass the rank cutoff, noise could be kept as a new
+    direction and V would be a left module over the closure rather than
+    the closure.  Such a round raises ``NumericalError``.
     """
     gens = [as_matrix(g) for g in gens]
     for g in gens:
         if g.shape != (n, n):
             raise InputError("generators must be n x n")
-    basis = _seed_span(n, gens)
-    for _ in range(n * n + 1):
-        k = len(basis)
-        stacked = np.stack([b.reshape(-1) for b in basis])
-        prods = np.einsum("aij,bjk->abik", np.stack(basis), np.stack(basis))
-        candidates = np.vstack([stacked, prods.reshape(k * k, n * n)])
-        basis = _orthonormalize_span(list(candidates.reshape(-1, n, n)), n)
-        if len(basis) == k:
-            break
-    else:
-        raise NumericalError("algebra closure failed to stabilize")
-    return StarAlgebra(n, gens, basis)
+    span = _seed_span(n, gens)
+    seed = added = span.reshape(-1, n, n)
+    for _ in range(n * n):
+        products = np.einsum("aij,bjk->abik", seed, added).reshape(-1, n * n)
+        scale = max(1.0, frob(products))
+        for _ in range(2):
+            products = products - (products @ span.conj().T) @ span
+        kept = orthonormal_basis(products.T, scale).frame.T
+        if not len(kept):
+            return StarAlgebra(n, gens, span.reshape(-1, n, n))
+        # the kept singular values are the row norms of U^H R = Sigma W^H
+        weakest = np.linalg.norm(kept.conj() @ products.T, axis=1).min()
+        if weakest * tolerances().rank <= np.finfo(float).eps * scale:
+            raise NumericalError(
+                f"algebra closure is ambiguous: a new direction at {weakest / scale:.1e} "
+                "of its products is too weak to tell its successors from rounding noise"
+            )
+        span = np.vstack([span, kept])
+        added = kept.reshape(-1, n, n)
+    raise NumericalError("algebra closure failed to stabilize")
 
 
 def commutant(a: StarAlgebra) -> StarAlgebra:
@@ -177,8 +189,9 @@ def commutant(a: StarAlgebra) -> StarAlgebra:
     """
     n = a.dim
     eye = np.eye(n, dtype=np.complex128)
-    traceless = [b - np.trace(b) / n * eye for b in _seed_span(n, a.generators)]
-    fixed = np.reshape(_orthonormalize_span(traceless, n), (-1, n, n))
+    seed = _seed_span(n, a.generators).reshape(-1, n, n)
+    traceless = seed - np.trace(seed, axis1=1, axis2=2)[:, None, None] / n * eye
+    fixed = orthonormal_basis(traceless.reshape(-1, n * n).T).frame.T.reshape(-1, n, n)
     stacked = (
         np.einsum("aip,jq->aijpq", fixed, eye) - np.einsum("ip,aqj->aijpq", eye, fixed)
     ).reshape(-1, n * n)

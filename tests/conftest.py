@@ -1,7 +1,21 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import paraunitary as pu
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_module(relpath):
+    """Import a file of the repository that is not on the path, e.g. a script."""
+    path = ROOT / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)

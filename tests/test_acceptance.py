@@ -57,52 +57,75 @@ def test_criterion_1_factorization_roundtrip(algebras, algebra_files):
     element_path = root / "element.json"
     out_path = root / "factors.json"
     per_algebra = 40  # 5 algebras x 40 = 200 elements
+    # How many of the 200 draws are canonical depends on the seeded draws
+    # (90 to 110 of them across first seeds 11..15), so past them the same
+    # per-algebra sequences continue, every assertion included, until 100
+    # canonical presentations are checked; the cap makes a run that never
+    # gets there fail.
+    max_per_algebra = 80
     started = time.perf_counter()
     worst_residual = 0.0
     canonical_checked = 0
+    factorized = 0
+
+    def roundtrip(n, a, i):
+        nonlocal worst_residual, canonical_checked, factorized
+        rng = np.random.default_rng([11, n, i])
+        k = int(rng.integers(0, 9))
+        j = int(rng.integers(0, 3))
+        el = pu.random_ppu(a, k, j, seed=int(rng.integers(2**63)))
+        element_path.write_text(
+            jsonio.canonical_dumps(jsonio.laurent_to_json(el.op)) + "\n"
+        )
+        with contextlib.redirect_stderr(io.StringIO()) as diag:
+            code = cli_main(
+                ["factor", alg_paths[n], str(element_path), "--out", str(out_path)]
+            )
+        assert code == 0
+        assert json.loads(diag.getvalue())["reconstruction_residual"] <= 1e-8
+        payload = json.loads(out_path.read_text())
+        shift = payload["shift"]
+        members = [
+            pu.certify_member(a, jsonio.subspace_from_json(f))
+            for f in payload["factors"]
+        ]
+        # every factor certified in the invariant lattice
+        assert all(pu.is_member_XAprime(a, m.subspace) for m in members)
+        # factor count equals the degree of the normalized element
+        assert shift == max(0, -el.lo)
+        assert len(members) == el.hi + shift
+        normalized = el.op.shifted(j)
+        if normalized.lo == 0:
+            # the sampled presentation is the canonical one
+            assert shift == j and len(members) == normalized.hi
+            canonical_checked += 1
+        # independent reconstruction of the CLI output
+        rebuilt = pu.FactorList(shift, tuple(members)).assemble(a)
+        diff = rebuilt.op - el.op
+        residual = max((frob(c) for c in diff.coeffs.values()), default=0.0)
+        worst_residual = max(worst_residual, residual)
+        assert residual <= 1e-8
+        factorized += 1
+
     for n, a in algebras.items():
         for i in range(per_algebra):
-            rng = np.random.default_rng([11, n, i])
-            k = int(rng.integers(0, 9))
-            j = int(rng.integers(0, 3))
-            el = pu.random_ppu(a, k, j, seed=int(rng.integers(2**63)))
-            element_path.write_text(
-                jsonio.canonical_dumps(jsonio.laurent_to_json(el.op)) + "\n"
-            )
-            with contextlib.redirect_stderr(io.StringIO()) as diag:
-                code = cli_main(
-                    ["factor", alg_paths[n], str(element_path), "--out", str(out_path)]
-                )
-            assert code == 0
-            assert json.loads(diag.getvalue())["reconstruction_residual"] <= 1e-8
-            payload = json.loads(out_path.read_text())
-            shift = payload["shift"]
-            members = [
-                pu.certify_member(a, jsonio.subspace_from_json(f))
-                for f in payload["factors"]
-            ]
-            # every factor certified in the invariant lattice
-            assert all(pu.is_member_XAprime(a, m.subspace) for m in members)
-            # factor count equals the degree of the normalized element
-            assert shift == max(0, -el.lo)
-            assert len(members) == el.hi + shift
-            normalized = el.op.shifted(j)
-            if normalized.lo == 0:
-                # the sampled presentation is the canonical one
-                assert shift == j and len(members) == normalized.hi
-                canonical_checked += 1
-            # independent reconstruction of the CLI output
-            rebuilt = pu.FactorList(shift, tuple(members)).assemble(a)
-            diff = rebuilt.op - el.op
-            residual = max((frob(c) for c in diff.coeffs.values()), default=0.0)
-            worst_residual = max(worst_residual, residual)
-            assert residual <= 1e-8
+            roundtrip(n, a, i)
+    more = (
+        (n, a, i)
+        for i in range(per_algebra, max_per_algebra)
+        for n, a in algebras.items()
+    )
+    for n, a, i in more:
+        if canonical_checked >= 100:
+            break
+        roundtrip(n, a, i)
     elapsed = time.perf_counter() - started
     assert canonical_checked >= 100
     _report(
         1,
         worst_residual <= 1e-8 and elapsed <= 60.0,
-        f"200 factorizations, max residual {worst_residual:.2e}, {elapsed:.1f}s",
+        f"{factorized} factorizations ({canonical_checked} canonical), "
+        f"max residual {worst_residual:.2e}, {elapsed:.1f}s",
     )
 
 

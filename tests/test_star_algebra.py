@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paraunitary as pu
-from paraunitary.numfield import InputError, subspace_residual
+from paraunitary.numfield import (
+    InputError,
+    NumericalError,
+    _rank_from_singular_values,
+    subspace_residual,
+)
 from paraunitary.star_algebra import oml_complement, oml_join, oml_meet
 
 from conftest import (
@@ -14,10 +19,13 @@ from conftest import (
     diag_algebra,
     doubled_algebra,
     full_algebra,
+    load_module,
     rand_matrix,
+    random_algebra,
     random_subspace,
     scalar_algebra,
 )
+from test_acceptance import ALGEBRA_SEEDS
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 
@@ -53,6 +61,127 @@ class TestGenerate:
         assert b.closure_residual() < 1e-10
 
 
+def reference_closure(n, gens):
+    """The all-pairs closure loop that ``generate_algebra`` replaced, as an oracle.
+
+    Every round multiplies all pairs of the current basis and takes a
+    row SVD of the basis and the products, cut relative to their largest
+    singular value, until the linear dimension stops growing.
+    """
+
+    def orthonormalize(mats):
+        _, s, vh = np.linalg.svd(np.reshape(mats, (len(mats), n * n)), full_matrices=False)
+        return list(vh[: _rank_from_singular_values(s)].reshape(-1, n, n))
+
+    gens = [np.asarray(g, dtype=complex) for g in gens]
+    basis = orthonormalize([np.eye(n)] + [m for g in gens for m in (g, g.conj().T)])
+    for _ in range(n * n + 1):
+        k = len(basis)
+        prods = np.einsum("aij,bjk->abik", np.stack(basis), np.stack(basis))
+        basis = orthonormalize(basis + list(prods.reshape(k * k, n, n)))
+        if len(basis) == k:
+            return pu.StarAlgebra(n, gens, basis)
+    raise AssertionError("reference closure did not stabilize")
+
+
+# the algebra specs of the bench workloads (verify, factor_deep, cli_lattice)
+BENCH_SPECS = (
+    "scalars:2", "diagonal:3", "full:3", "block:2+3", "doubled:2", "doubled:3",
+    "full:4", "block:2+3+3", "full:5", "block:2+2+3", "full:7",
+)
+
+
+def oracle_cases():
+    """One ``pytest.param(n, generators)`` per algebra the closure is checked on."""
+    family = {
+        "scalars1": scalar_algebra(1),
+        "scalars3": scalar_algebra(3),
+        "diag4": diag_algebra(4),
+        "nilpotent": pu.generate_algebra(2, [NILPOTENT]),
+        "full2": full_algebra(2, 1),
+        "full4": full_algebra(4, 2),
+        "blocks122": block_algebra([1, 2, 2], 2),
+        "doubled3": doubled_algebra(3, 2),
+        "near-scalar": numerically_scalar_generator(),
+    }
+    family.update(
+        {f"random{n}": random_algebra(n, seed) for n, seed in ALGEBRA_SEEDS.items()}
+    )
+    cases = [pytest.param(a.dim, a.generators, id=name) for name, a in family.items()]
+    cases.append(pytest.param(6, [doubled_near_degenerate(1e-5)], id="near-degenerate"))
+    inputs = load_module("bench/inputs.py")
+    for seed in (1, 2, 11, 15):
+        for spec in BENCH_SPECS:
+            n, gens = inputs.algebra_generators(spec, seed)
+            cases.append(pytest.param(n, gens, id=f"{spec}/{seed}"))
+    suite = load_module("scripts/run_axiom_suite.py")
+    for seed in (0, 1):
+        for name, a in suite.build_algebras(seed).items():
+            cases.append(pytest.param(a.dim, a.generators, id=f"{name}/{seed}"))
+    return cases
+
+
+def doubled_near_degenerate(delta):
+    """x + x with x = diag(0, 1, 1 + delta), in a random orthonormal basis of C^6.
+
+    The closure is 3-dimensional with a 12-dimensional commutant; its third
+    direction leaves span{1, g} only by about delta.
+    """
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rand_matrix(rng, 6, 6))
+    return q @ np.kron(np.eye(2), np.diag([0.0, 1.0, 1.0 + delta])) @ q.conj().T
+
+
+def numerically_scalar_generator():
+    # the closure drops the first generator (scalar to 1e-12) and keeps
+    # x + x; the commutant must drop it too, though its norm is 1e6
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    near_scalar = 1e6 * (np.eye(6) + 1e-12 * np.diag([1.0, 0, 0, 0, 0, 0]))
+    return pu.generate_algebra(6, [near_scalar, np.kron(np.eye(2), x)])
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("n, gens", oracle_cases())
+    def test_same_algebra_as_all_pairs_closure(self, n, gens):
+        a = pu.generate_algebra(n, gens)
+        reference = reference_closure(n, gens)
+        assert a.linear_dim == reference.linear_dim
+        assert a.same_span(reference)
+        assert a.closure_residual() <= 1e-10
+        c = pu.commutant(a)
+        reference_c = basis_commutant(reference)
+        assert c.linear_dim == reference_c.linear_dim
+        assert c.same_span(reference_c)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_powers_of_two_give_the_diagonal_algebra(self, n):
+        # the all-pairs closure returned 51 (n = 11) and 34 (n = 12) matrices
+        # with off-diagonal entries up to 0.85, a span that is not an algebra
+        a = pu.generate_algebra(n, [np.diag(2.0 ** np.arange(n))])
+        eq = pu.tolerances().eq
+        assert a.linear_dim == n
+        for b in a.basis:
+            assert np.linalg.norm(b - np.diag(np.diag(b))) <= eq
+        assert a.closure_residual() <= eq
+
+    def test_noise_sized_direction_is_a_numerical_error(self):
+        # the third direction leaves span{1, g} by 7.5e-8 of its products, so
+        # it is known only to about 3e-9, above the rank cutoff; continuing
+        # keeps rounding noise as directions (a 7-dimensional span with
+        # closure residual 0.99), and the all-pairs loop returns all of M_6
+        with pytest.raises(NumericalError, match="ambiguous"):
+            pu.generate_algebra(6, [doubled_near_degenerate(1e-7)])
+
+    def test_full_m16_closes_in_under_a_second(self):
+        gen = rand_matrix(np.random.default_rng(16), 16, 16)
+        start = time.perf_counter()
+        a = pu.generate_algebra(16, [gen])
+        elapsed = time.perf_counter() - start
+        assert a.linear_dim == 256
+        assert elapsed < 1.0
+
+
 class TestCommutant:
     def test_commutant_of_scalars_is_everything(self):
         assert scalar_algebra(3).commutant.linear_dim == 9
@@ -86,15 +215,6 @@ def basis_commutant(a):
     null = pu.kernel(np.vstack([np.kron(b, eye) - np.kron(eye, b.T) for b in a.basis]))
     basis = [null.frame[:, i].reshape(n, n) for i in range(null.dim)]
     return pu.StarAlgebra(n, basis, basis)
-
-
-def numerically_scalar_generator():
-    # the closure drops the first generator (scalar to 1e-12) and keeps
-    # x + x; the commutant must drop it too, though its norm is 1e6
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    near_scalar = 1e6 * (np.eye(6) + 1e-12 * np.diag([1.0, 0, 0, 0, 0, 0]))
-    return pu.generate_algebra(6, [near_scalar, np.kron(np.eye(2), x)])
 
 
 class TestCommutantFromGenerators:
