@@ -2,9 +2,9 @@
 
 Factor pure paraunitary Laurent operator polynomials into degree-one
 projection factors, decide the divisibility order, compute lattice
-meets and joins through the windowed invariant-subspace correspondence,
-and machine-verify the axioms that make the group the structure group
-of the projection orthomodular lattice of the commutant.
+meets and joins as greedy gcds of elementary factors, and
+machine-verify the axioms that make the group the structure group of
+the projection orthomodular lattice of the commutant.
 
 The error classes, ``LaurentOp`` and the single axiom checks are
 imported from their modules (``numfield``, ``laurent``, ``axioms``).
@@ -49,11 +49,9 @@ from .ppu import (
     join,
     leq,
     meet,
-    omega_window,
     order_unit_exponent,
     p_of,
     random_ppu,
-    reconstruct,
 )
 from .axioms import CHECK_NAMES
 from .reporting import derive_seed
@@ -83,7 +81,6 @@ __all__ = [
     "leq",
     "meet",
     "meet_subspace",
-    "omega_window",
     "order_unit_exponent",
     "ortho_complement",
     "orthonormal_basis",
@@ -93,7 +90,6 @@ __all__ = [
     "ppu_t_power",
     "random_ppu",
     "random_projection_in",
-    "reconstruct",
     "set_tolerances",
     "subspace_from_projector",
     "tolerances",

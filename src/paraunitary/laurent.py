@@ -102,9 +102,6 @@ class LaurentOp:
         self._binary_check(other)
         return LaurentOp(self.dim, _convolve(self.coeffs, other.coeffs))
 
-    def scale(self, z: complex) -> "LaurentOp":
-        return LaurentOp(self.dim, {e: z * c for e, c in self.coeffs.items()})
-
     def shifted(self, k: int) -> "LaurentOp":
         return LaurentOp(self.dim, {e + int(k): c for e, c in self.coeffs.items()})
 

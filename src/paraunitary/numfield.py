@@ -96,10 +96,6 @@ def mat_residual(a, b) -> float:
     return frob(a - b) / max(1.0, frob(a), frob(b))
 
 
-def mats_close(a, b) -> bool:
-    return mat_residual(a, b) <= tolerances().eq
-
-
 def _rank_from_singular_values(s: np.ndarray, scale: float | None = None) -> int:
     # cutoff relative to ``scale``, by default the largest singular value;
     # an all-zero spectrum gets rank 0 (absolute floor).
@@ -151,19 +147,6 @@ def columns_outside(cols: np.ndarray, s: Subspace) -> float:
         raise InputError("ambient dimension mismatch")
     residual = cols - s.frame @ (s.frame.conj().T @ cols)
     return frob(residual)
-
-
-def invariance_residual(moved, s: Subspace) -> float:
-    """Worst relative ||(I - pi_s) m||_F / max(1, ||m||_F) over the images ``moved``.
-
-    Each image is an operator applied to the frame of ``s``; its last axis
-    indexes columns and any leading axes flatten, in order, into the
-    ambient index.  Zero means every image stays inside ``s``.
-    """
-    return max(
-        (columns_outside(m.reshape(-1, m.shape[-1]), s) / max(1.0, frob(m)) for m in moved),
-        default=0.0,
-    )
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -241,10 +224,6 @@ def subspace_from_projector(p) -> Subspace:
     if mat_residual(s.projector(), a) > tolerances().eq:
         raise NumericalError("projector round-trip failed")
     return s
-
-
-def same_subspace(a: Subspace, b: Subspace) -> bool:
-    return subspace_residual(a, b) <= tolerances().eq
 
 
 def subspace_residual(a: Subspace, b: Subspace) -> float:

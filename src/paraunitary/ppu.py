@@ -1,16 +1,21 @@
 """The pure paraunitary group: elementary factors, order, and lattice structure.
 
-The backbone is the correspondence sending an element ``phi`` to the
-invariant subspace it generates from the negative-exponent tail space.
-Truncated to a finite exponent window this subspace becomes an ordinary
-finite-dimensional subspace, which makes order comparison, meet/join,
-and factorization into degree-one factors all computable.
+The divisors of ``t`` in the positive cone are the elementary factors
+``p_M = t pi_M + (1 - pi_M)``, one for each member ``M`` of the
+invariant-subspace lattice ``X(A')``.  Every question about a positive
+element reduces to its constant coefficient ``phi_0``: the *head*
+``ker(phi_0^H)`` is the largest ``M`` with ``p_M`` dividing ``phi`` on
+the left, and the *tail* ``ker(phi_0)`` the largest with ``p_M``
+dividing on the right.  Peeling heads factors an element into degree-one
+pieces; peeling the intersection of two heads (or tails) is the greedy
+gcd of Garside theory, which gives the meet (and, through ``phi^-1 t^k``,
+the join).  Every rank decision is on an ``n x n`` matrix, whatever the
+degree.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -26,13 +31,8 @@ from .numfield import (
     InputError,
     NumericalError,
     Subspace,
-    invariance_residual,
-    join_subspace,
     kernel,
     meet_subspace,
-    orthonormal_basis,
-    subspace_residual,
-    tolerances,
 )
 from .star_algebra import (
     InvariantSubspace,
@@ -56,10 +56,27 @@ def gamma_inverse(el: PpuElement) -> InvariantSubspace:
     t_el = ppu_t_power(el.algebra, 1)
     if not (in_positive_cone(el.op) and leq(el, t_el)):
         raise InputError("element is not between the identity and t")
-    member = certify_member(el.algebra, kernel(el.op.coeff(0).conj().T))
+    member = certify_member(el.algebra, _head(el.op))
     if not p_of(member).op.close_to(el.op):
         raise NumericalError("elementary-factor round trip failed")
     return member
+
+
+def _head(op: LaurentOp, right: bool = False) -> Subspace:
+    """Head ker(op_0^H) of a positive element, or with ``right`` its tail ker(op_0).
+
+    p_M^-1 op has t^-1 coefficient pi_M op_0, which vanishes iff M lies in
+    ker(op_0^H); op p_M^-1 has op_0 pi_M, which vanishes iff M lies in
+    ker(op_0).  op_0 is in the algebra, so both kernels are in X(A').
+    """
+    c0 = op.coeff(0)
+    return kernel(c0 if right else c0.conj().T)
+
+
+def _elementary_inverse(s: Subspace) -> LaurentOp:
+    """p_s^-1 = t^-1 pi_s + (1 - pi_s)."""
+    proj = s.projector()
+    return LaurentOp(s.ambient_dim, {-1: proj, 0: np.eye(s.ambient_dim) - proj})
 
 
 def leq(a: PpuElement, b: PpuElement) -> bool:
@@ -71,73 +88,6 @@ def leq(a: PpuElement, b: PpuElement) -> bool:
 def order_unit_exponent(el: PpuElement) -> int:
     """Least k with el <= t^k; equals the top exponent (0 for the identity)."""
     return el.op.hi
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class WindowSubspace:
-    """Finite truncation of the invariant tail subspace of an element.
-
-    Slot ``s`` in 1..width holds the coefficient of ``t^(offset+s)``, so
-    the window covers the exponent interval (offset, offset+width].  The
-    space must be stable under the block downshift (slot s -> s-1, slot 1
-    discarded) and under the coefficientwise action of the commutant.
-    The ambient index is slot-major, so the frame reshapes to a
-    (width, n, dim) slot array (slot, ambient, column), and slot operators
-    act on it by slicing and batched products; no (n width) x (n width)
-    operator is ever formed.
-    """
-
-    algebra: StarAlgebra
-    offset: int
-    width: int
-    space: Subspace
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise InputError("window width must be non-negative")
-        if self.space.ambient_dim != self.algebra.dim * self.width:
-            raise InputError("window space has the wrong ambient dimension")
-
-    def stability_residual(self) -> float:
-        """Worst violation of the two stability invariants."""
-        if self.space.dim == 0 or self.width == 0:
-            return 0.0
-        slots = self.space.frame.reshape(self.width, self.algebra.dim, -1)
-        down = np.zeros_like(slots)
-        down[:-1] = slots[1:]
-        commuted = (c @ slots for c in self.algebra.commutant.basis)
-        return invariance_residual(itertools.chain([down], commuted), self.space)
-
-    def require_valid(self, exc=InputError) -> None:
-        residual = self.stability_residual()
-        if residual > tolerances().eq:
-            raise exc(f"window stability residual {residual:.3e} exceeds tolerance")
-
-
-def omega_window(el: PpuElement, m: int, n: int) -> WindowSubspace:
-    """Truncation of the element's invariant tail subspace to slots m+1..n.
-
-    The window must contain the element's support: m <= lo and n >= hi.
-    Columns are the windowed images of t^j e_i over the finitely many j
-    that can reach the window.
-    """
-    op = el.op
-    if m > op.lo or n < op.hi:
-        raise InputError("window too small for the element")
-    amb, w = op.dim, n - m
-    # column block q is the image of t^j e_i for j = m - hi + q, so block
-    # (slot s, q) holds the coefficient of t^(m+s-j); stack[d] holds that
-    # of t^(m+1+d), which makes the window block-Toeplitz in it
-    span = op.hi - m + 1
-    stack = np.zeros((w + span - 1, amb, amb), dtype=np.complex128)
-    for e, c in op.coeffs.items():
-        if e > m:
-            stack[e - m - 1] = c
-    toeplitz = stack[np.subtract.outer(np.arange(w), np.arange(span)) + span - 1]
-    cols = toeplitz.transpose(0, 2, 1, 3).reshape(amb * w, amb * span)
-    window = WindowSubspace(el.algebra, m, w, orthonormal_basis(cols))
-    window.require_valid(NumericalError)
-    return window
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,7 +119,7 @@ def factor_positive(el: PpuElement) -> FactorList:
     cur = el.op
     while cur.hi > 0:
         prev_hi = cur.hi
-        m1 = kernel(cur.coeff(0).conj().T)
+        m1 = _head(cur)
         try:
             member = certify_member(algebra, m1)
         except InputError as exc:
@@ -177,9 +127,7 @@ def factor_positive(el: PpuElement) -> FactorList:
                 f"peeled subspace at degree {prev_hi} failed certification"
             ) from exc
         members.append(member)
-        proj = m1.projector()
-        p_star = LaurentOp(algebra.dim, {-1: proj, 0: np.eye(algebra.dim) - proj})
-        cur = p_star * cur
+        cur = _elementary_inverse(m1) * cur
         if cur.lo < 0:
             raise NumericalError(
                 f"negative exponents survived the peel at degree {prev_hi}"
@@ -194,81 +142,65 @@ def factor_positive(el: PpuElement) -> FactorList:
     return result
 
 
-def reconstruct(window: WindowSubspace) -> PpuElement:
-    """Inverse of the window map: the unique element with this truncation.
+def _greedy_gcd(
+    x: LaurentOp, y: LaurentOp, algebra: StarAlgebra, right: bool = False
+) -> list[InvariantSubspace]:
+    """Greedy gcd of two positive elements, left by heads or ``right`` by tails.
 
-    Peels at the window level: the slot-1 fiber of the space is the
-    first factor, then the windowed action of that factor's inverse is
-    applied and the peel repeats until the space is exhausted.  The
-    window comes from the caller, so an unstable one is an input error.
+    Each step divides both by p_s, s the intersection of their heads
+    (tails); the gcd is the product of the p_s in the order peeled (for
+    the right gcd, from the right).  A step lowers the determinant degree
+    of both by dim s >= 1, not necessarily the top exponent, so at most
+    n * min(hi) steps run.  The last step finds no common head, and both
+    remainders must then lie in the positive cone.
     """
-    window.require_valid(InputError)
-    return _peel(window)
-
-
-def _peel(window: WindowSubspace) -> PpuElement:
-    """Window-level peel of a window already validated as stable."""
-    algebra = window.algebra
-    amb, w = algebra.dim, window.width
-    space = window.space
-    members: list[InvariantSubspace] = []
-    while space.dim > 0:
-        if len(members) >= w:
-            raise NumericalError("window peel exceeded the width cap")
-        frame = space.frame
-        # slot-1 fiber {x : x embedded at slot 1 lies in the space}: the
-        # kernel of (I - pi) restricted to the first amb coordinates
-        fiber = -frame @ frame[:amb].conj().T
-        fiber[:amb] += np.eye(amb)
-        m1 = kernel(fiber)
-        if m1.dim == 0:
-            raise NumericalError("window peel stalled on a nonzero space")
-        members.append(certify_member(algebra, m1))
-        # windowed action of the factor's inverse t^-1 P + (1 - P)
-        proj = m1.projector()
-        slots = frame.reshape(w, amb, -1)
-        peeled = (np.eye(amb) - proj) @ slots
-        peeled[:-1] += proj @ slots[1:]
-        new_space = orthonormal_basis(peeled.reshape(frame.shape))
-        if new_space.dim >= space.dim:
-            raise NumericalError("window peel failed to reduce the dimension")
-        space = new_space
-    op = LaurentOp.t_power(amb, window.offset)
-    for member in members:
-        op = op * p_of(member).op
-    el = PpuElement(op, algebra)
-    check = omega_window(el, window.offset, window.offset + w)
-    if subspace_residual(check.space, window.space) > tolerances().eq:
-        raise NumericalError("reconstructed element does not reproduce the window")
-    return el
-
-
-def _common_window(a: PpuElement, b: PpuElement) -> tuple[int, int]:
-    return min(a.op.lo, b.op.lo), max(a.op.hi, b.op.hi)
-
-
-def _lattice_op(a: PpuElement, b: PpuElement, combine) -> PpuElement:
-    """Combine the two windows and peel the result.
-
-    The combined window is computed here from valid elements, so a
-    window that fails its stability check is a numerical failure, not
-    an input error.
-    """
-    algebra = require_same_algebra(a, b)
-    m, n = _common_window(a, b)
-    wa = omega_window(a, m, n)
-    wb = omega_window(b, m, n)
-    window = WindowSubspace(algebra, m, n - m, combine(wa.space, wb.space))
-    window.require_valid(NumericalError)
-    return _peel(window)
+    cap = algebra.dim * min(x.hi, y.hi)
+    peeled: list[InvariantSubspace] = []
+    while (s := meet_subspace(_head(x, right), _head(y, right))).dim > 0:
+        if len(peeled) == cap:
+            raise NumericalError(f"greedy gcd did not end within {cap} steps")
+        try:
+            member = certify_member(algebra, s)
+        except InputError as exc:
+            raise NumericalError(
+                f"common divisor {len(peeled) + 1} failed certification"
+            ) from exc
+        inv = _elementary_inverse(s)
+        x, y = (x * inv, y * inv) if right else (inv * x, inv * y)
+        if min(x.lo, y.lo) < 0:
+            raise NumericalError(
+                f"negative exponent after common divisor {len(peeled) + 1}"
+            )
+        peeled.append(member)
+    if not (in_positive_cone(x) and in_positive_cone(y)):
+        raise NumericalError("greedy gcd left a remainder outside the positive cone")
+    return peeled
 
 
 def meet(a: PpuElement, b: PpuElement) -> PpuElement:
-    return _lattice_op(a, b, meet_subspace)
+    """Greatest lower bound: t^m times the left gcd of t^-m a and t^-m b."""
+    algebra = require_same_algebra(a, b)
+    m = min(a.lo, b.lo)
+    members = _greedy_gcd(a.op.shifted(-m), b.op.shifted(-m), algebra)
+    return FactorList(-m, tuple(members)).assemble(algebra)
 
 
 def join(a: PpuElement, b: PpuElement) -> PpuElement:
-    return _lattice_op(a, b, join_subspace)
+    """Least upper bound: t^k rgcd(a^-1 t^k, b^-1 t^k)^-1 with k = max hi.
+
+    z >= a, b with z <= t^k iff w = z^-1 t^k right-divides a^-1 t^k and
+    b^-1 t^k, so the least such z comes from the greatest such w.  The
+    order is only left-invariant, so (a^-1 meet b^-1)^-1 is not the join.
+    """
+    algebra = require_same_algebra(a, b)
+    k = max(a.hi, b.hi)
+    members = _greedy_gcd(
+        a.op.star().shifted(k), b.op.star().shifted(k), algebra, right=True
+    )
+    op = LaurentOp.t_power(algebra.dim, k)
+    for member in members:
+        op = op * _elementary_inverse(member.subspace)
+    return PpuElement(op, algebra)
 
 
 def complement_in_t(el: PpuElement) -> PpuElement:

@@ -18,8 +18,8 @@ from .numfield import (
     NumericalError,
     Subspace,
     as_matrix,
+    columns_outside,
     frob,
-    invariance_residual,
     join_subspace,
     kernel,
     mat_residual,
@@ -117,8 +117,14 @@ class StarAlgebra:
 
 
 def _seed_span(n: int, gens) -> np.ndarray:
-    """Trace-orthonormal basis of span{1, g, g^* : g in gens}, one vec per row."""
-    mats = [np.eye(n)] + [m for g in gens for m in (g, g.conj().T)]
+    """Trace-orthonormal basis of span{1, g, g^* : g in gens}, one vec per row.
+
+    Each nonzero generator is divided by its largest absolute entry first,
+    so the rank decision sees every generator at the scale of the identity,
+    whatever its norm, and no norm overflows.
+    """
+    unit = [g / peak for g in gens if (peak := np.abs(g).max(initial=0.0)) > 0.0]
+    mats = [np.eye(n)] + [m for g in unit for m in (g, g.conj().T)]
     return orthonormal_basis(np.reshape(mats, (len(mats), n * n)).T).frame.T
 
 
@@ -219,10 +225,10 @@ def is_member_XAprime(a: StarAlgebra, s: Subspace) -> bool:
         raise InputError("ambient dimension mismatch")
     proj_residual = a.membership_residual(s.projector())
     by_projector = proj_residual <= tolerances().eq
-    inv_residual = (
-        invariance_residual((c @ s.frame for c in a.commutant.basis), s)
-        if s.dim > 0
-        else 0.0
+    # worst relative ||(I - pi_s) c f||_F / max(1, ||c f||_F), f the frame
+    moved = (c @ s.frame for c in a.commutant.basis) if s.dim > 0 else ()
+    inv_residual = max(
+        (columns_outside(m, s) / max(1.0, frob(m)) for m in moved), default=0.0
     )
     by_invariance = inv_residual <= tolerances().eq
     if by_projector != by_invariance:

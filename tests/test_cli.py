@@ -9,9 +9,9 @@ import paraunitary as pu
 from paraunitary import cli, jsonio, ppu
 from paraunitary.cli import main
 from paraunitary.laurent import LaurentOp
-from paraunitary.numfield import zero_subspace
+from paraunitary.numfield import full_subspace
 
-from conftest import diag_algebra
+from conftest import diag_algebra, load_module
 
 
 @pytest.fixture
@@ -174,6 +174,23 @@ def test_commutant_output_reloads_as_an_algebra(files, capsys):
     assert reloaded.linear_dim == 2  # commutant of the diagonal algebra
 
 
+@pytest.mark.parametrize("scale", [1e12, 1e-12, 1e300])
+def test_commutant_does_not_depend_on_the_generator_scale(capsys, tmp_path, scale):
+    # scale E_11 generates the diagonal algebra, its own commutant; at
+    # 1e12 and 1e300 the identity used to fall below the rank cutoff (exit
+    # 2), and at 1e-12 the generator did (the scalars, commutant M_2)
+    path = tmp_path / "alg.json"
+    gen = np.diag([scale, 0.0])
+    path.write_text(jsonio.canonical_dumps(
+        {"dim": 2, "generators": [jsonio.matrix_to_json(gen)]}
+    ) + "\n")
+    code, out, err = run_cli(capsys, "commutant", str(path))
+    assert code == 0, err
+    reloaded = jsonio.algebra_from_json(json.loads(out))
+    assert reloaded.linear_dim == 2
+    assert reloaded.contains(np.diag([1.0, 0.0]))
+
+
 def test_eval_at_minus_one(files, capsys):
     code, out, _ = run_cli(capsys, "eval", files["t.json"], "--z", "-1")
     assert code == 0
@@ -318,21 +335,46 @@ def test_unknown_subcommand_exits_two():
     assert proc.returncode == 2
 
 
-def _unstable_space(a, b):
-    # the all-ones vector is moved out of its span by diag(1, 0) in the
-    # commutant of the diagonal algebra, so the window fails stability
+def _non_member_line(a, b):
+    # the all-ones line is moved out of its span by diag(1, 0) in the
+    # commutant of the diagonal algebra, so it fails certification
     return pu.orthonormal_basis(np.ones((a.ambient_dim, 1)))
 
 
 @pytest.mark.parametrize("op", ["meet", "join"])
-@pytest.mark.parametrize("fault", ["unstable-window", "stalled-peel"])
+@pytest.mark.parametrize("fault", ["non-member-divisor", "negative-exponent"])
 def test_lattice_numerical_failure_exits_one(files, capsys, monkeypatch, op, fault):
-    if fault == "unstable-window":
-        monkeypatch.setattr(ppu, f"{op}_subspace", _unstable_space)
+    if fault == "non-member-divisor":
+        monkeypatch.setattr(ppu, "meet_subspace", _non_member_line)
+        message = "failed certification"
     else:
-        monkeypatch.setattr(ppu, "kernel", lambda m: zero_subspace(m.shape[1]))
+        # a full head divides by t, which leaves a t^-1 coefficient
+        monkeypatch.setattr(ppu, "kernel", lambda m: full_subspace(m.shape[1]))
+        message = "negative exponent"
     code, out, err = run_cli(
         capsys, "lattice", op, files["alg.json"], files["el.json"], files["el.json"]
     )
     assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
     assert json.loads(err)["kind"] == "numerical"
+    assert message in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("op", ["meet", "join"])
+def test_lattice_on_three_blocks_at_degree_16(capsys, tmp_path, op):
+    # the window meet and join exited 2 or 1 on 11 of these 12 calls
+    inputs = load_module("bench/inputs.py")
+    a = inputs.build_algebra("block:2+2+3", 1)
+    alg = str(tmp_path / "alg.json")
+    inputs.write_algebra(alg, a)
+    for s in range(6):
+        x = pu.random_ppu(a, 16, s % 3, 100 + s)
+        y = pu.random_ppu(a, 16, 0, 200 + s)
+        paths = [str(tmp_path / f"{name}{s}.json") for name in "xy"]
+        for path, el in zip(paths, (x, y)):
+            inputs.write_element(path, el)
+        code, out, err = run_cli(capsys, "lattice", op, alg, *paths)
+        assert code == 0, err
+        bound = pu.PpuElement(jsonio.laurent_from_json(json.loads(out)), a)
+        for el in (x, y):
+            assert pu.leq(bound, el) if op == "meet" else pu.leq(el, bound)

@@ -5,19 +5,21 @@ import paraunitary as pu
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import (
     InputError,
-    columns_outside,
-    frob,
     kernel,
     mat_residual,
     subspace_residual,
 )
-from paraunitary.ppu import WindowSubspace
 
 from conftest import (
+    Window,
     diag_algebra,
     doubled_algebra,
     full_algebra,
-    rand_matrix,
+    kron_peel,
+    kron_stability_residual,
+    load_module,
+    oracle_lattice_op,
+    oracle_window,
     random_algebra,
     scalar_algebra,
 )
@@ -124,18 +126,18 @@ class TestOrder:
 class TestOmegaWindow:
     def test_identity_window_is_empty(self):
         a = diag_algebra(2)
-        w = pu.omega_window(pu.ppu_identity(a), 0, 1)
+        w = oracle_window(pu.ppu_identity(a), 0, 1)
         assert w.space.dim == 0 and w.space.ambient_dim == 2
 
     def test_elementary_factor_window_holds_the_subspace(self):
         a = diag_algebra(2)
         m = member_of(a, E1)
-        w = pu.omega_window(pu.p_of(m), 0, 1)
+        w = oracle_window(pu.p_of(m), 0, 1)
         assert subspace_residual(w.space, m.subspace) < 1e-12
 
     def test_shift_window_fills_slot_one_only(self):
         a = diag_algebra(2)
-        w = pu.omega_window(pu.ppu_t_power(a, 1), 0, 2)
+        w = oracle_window(pu.ppu_t_power(a, 1), 0, 2)
         assert w.space.dim == 2
         p = w.space.projector()
         assert mat_residual(p, np.diag([1.0, 1.0, 0.0, 0.0])) < 1e-12
@@ -143,7 +145,7 @@ class TestOmegaWindow:
     def test_window_too_small(self):
         a = diag_algebra(2)
         with pytest.raises(InputError):
-            pu.omega_window(pu.ppu_t_power(a, 2), 0, 1)
+            oracle_window(pu.ppu_t_power(a, 2), 0, 1)
 
     def test_monotone_both_ways(self):
         a = full_algebra(2, seed=36)
@@ -151,8 +153,8 @@ class TestOmegaWindow:
             g = pu.random_ppu(a, 2, 1, seed=pu.derive_seed(seed, 0))
             h = pu.random_ppu(a, 2, 1, seed=pu.derive_seed(seed, 1))
             lo, hi = min(g.lo, h.lo), max(g.hi, h.hi)
-            wg = pu.omega_window(g, lo, hi)
-            wh = pu.omega_window(h, lo, hi)
+            wg = oracle_window(g, lo, hi)
+            wh = oracle_window(h, lo, hi)
             assert pu.leq(g, h) == wg.space.contained_in(wh.space)
             assert pu.leq(h, g) == wh.space.contained_in(wg.space)
 
@@ -160,8 +162,8 @@ class TestOmegaWindow:
         a = full_algebra(2, seed=37)
         g = pu.random_ppu(a, 3, 1, seed=8)
         h = g * pu.ppu_identity(a)
-        wg = pu.omega_window(g, g.lo, g.hi)
-        wh = pu.omega_window(h, g.lo, g.hi)
+        wg = oracle_window(g, g.lo, g.hi)
+        wh = oracle_window(h, g.lo, g.hi)
         assert subspace_residual(wg.space, wh.space) < 1e-12
         assert g.close_to(h)
 
@@ -177,7 +179,7 @@ class TestPeelFormula:
                 if el.hi == 0:
                     continue
                 by_kernel = kernel(el.op.coeff(0).conj().T)
-                w = pu.omega_window(el, 0, el.hi)
+                w = oracle_window(el, 0, el.hi)
                 embed = np.zeros((a.dim * w.width, a.dim), dtype=complex)
                 embed[: a.dim] = np.eye(a.dim)
                 frame = w.space.frame
@@ -238,107 +240,29 @@ class TestFactorPositive:
 class TestReconstruct:
     def test_empty_window_gives_identity(self):
         a = diag_algebra(2)
-        w = WindowSubspace(a, 0, 1, pu.orthonormal_basis(np.zeros((2, 0))))
-        assert pu.reconstruct(w).close_to(pu.ppu_identity(a))
+        w = Window(a, 0, 1, pu.orthonormal_basis(np.zeros((2, 0))))
+        assert kron_peel(w).close_to(pu.ppu_identity(a).op)
 
     def test_slot_one_window_gives_elementary_factor(self):
         a = diag_algebra(2)
         m = member_of(a, E1)
-        w = WindowSubspace(a, 0, 1, m.subspace)
-        assert pu.reconstruct(w).close_to(pu.p_of(m))
+        w = Window(a, 0, 1, m.subspace)
+        assert kron_peel(w).close_to(pu.p_of(m).op)
 
     def test_roundtrip_on_random_elements(self):
         for n, seed in [(2, 61), (3, 62), (4, 63)]:
             a = random_algebra(n, seed)
             for s in range(4):
                 el = pu.random_ppu(a, 3, 1, seed=pu.derive_seed(seed, s))
-                w = pu.omega_window(el, el.lo, el.hi)
-                back = pu.reconstruct(w)
-                assert back.op.distance(el.op) < 1e-9
+                w = oracle_window(el, el.lo, el.hi)
+                assert kron_stability_residual(w) < 1e-9
+                assert kron_peel(w).distance(el.op) < 1e-9
 
     def test_rejects_unstable_window(self):
-        # a window space violating downshift stability cannot be peeled
+        # a window space violating downshift stability is no element's window
         a = diag_algebra(2)
         bad = pu.orthonormal_basis(np.array([[0.0], [0.0], [1.0], [0.0]]))
-        with pytest.raises(InputError):
-            pu.reconstruct(WindowSubspace(a, 0, 2, bad))
-
-
-# Reference oracles: the window layer with explicit (n w) x (n w) operators
-# built by kron, and the block-Toeplitz window filled slot by slot.  The
-# slot-array code in ppu must agree with them.
-
-
-def kron_stability_residual(window):
-    n, w = window.algebra.dim, window.width
-    frame = window.space.frame
-    if window.space.dim == 0 or w == 0:
-        return 0.0
-    ops = [np.kron(np.eye(w, k=1), np.eye(n))]
-    ops += [np.kron(np.eye(w), c) for c in window.algebra.commutant.basis]
-    return max(
-        columns_outside(op @ frame, window.space) / max(1.0, frob(op @ frame))
-        for op in ops
-    )
-
-
-def loop_window_columns(el, m, n):
-    op, amb, w = el.op, el.op.dim, n - m
-    js = range(m - op.hi, 1)
-    cols = np.zeros((amb * w, amb * len(js)), dtype=complex)
-    for idx, j in enumerate(js):
-        for s in range(1, w + 1):
-            c = op.coeffs.get(m + s - j)
-            if c is not None:
-                cols[(s - 1) * amb : s * amb, idx * amb : (idx + 1) * amb] = c
-    return cols
-
-
-def kron_peel(window):
-    a, amb, w = window.algebra, window.algebra.dim, window.width
-    space = window.space
-    op = LaurentOp.t_power(amb, window.offset)
-    while space.dim > 0:
-        embed = np.zeros((amb * w, amb), dtype=complex)
-        embed[:amb] = np.eye(amb)
-        m1 = kernel(embed - space.frame @ (space.frame.conj().T @ embed))
-        op = op * pu.p_of(pu.certify_member(a, m1)).op
-        proj = m1.projector()
-        block = np.kron(np.eye(w, k=1), proj) + np.kron(np.eye(w), np.eye(amb) - proj)
-        space = pu.orthonormal_basis(block @ space.frame)
-    return op
-
-
-ORACLE_ALGEBRAS = {
-    "scalar": lambda: scalar_algebra(2),
-    "diagonal": lambda: diag_algebra(3),
-    "doubled": lambda: doubled_algebra(2, seed=101),
-    "full": lambda: full_algebra(2, seed=102),
-}
-
-
-@pytest.mark.parametrize("width", [1, 2, 5, 8])
-@pytest.mark.parametrize("kind", sorted(ORACLE_ALGEBRAS))
-def test_slot_arrays_match_kron_oracle(kind, width):
-    a = ORACLE_ALGEBRAS[kind]()
-    # degree up to the width, so wide windows are also loose ones
-    el = pu.random_ppu(a, width - width // 4, 1, seed=pu.derive_seed(103, width))
-    m, n = el.lo, el.lo + width
-    window = pu.omega_window(el, m, n)
-    reference = pu.orthonormal_basis(loop_window_columns(el, m, n))
-    assert subspace_residual(window.space, reference) < 1e-12
-    assert abs(window.stability_residual() - kron_stability_residual(window)) < 1e-12
-    assert pu.reconstruct(window).op.distance(kron_peel(window)) < 1e-12
-    # unstable windows have O(1) residuals, which must agree too: a random
-    # line over two or more slots is moved out by the downshift, and one
-    # in the first slot only by the commutant, unless that is the scalars
-    rng, w = np.random.default_rng([104, width]), max(width, 2)
-    spread = rand_matrix(rng, a.dim * w, 1)
-    first = np.vstack([rand_matrix(rng, a.dim, 1), np.zeros((a.dim * (w - 1), 1))])
-    for cols, unstable in [(spread, True), (first, kind != "full")]:
-        bad = WindowSubspace(a, 0, w, pu.orthonormal_basis(cols))
-        assert (kron_stability_residual(bad) > 1e-3) == unstable
-        assert abs(bad.stability_residual() - kron_stability_residual(bad)) < 1e-12
+        assert kron_stability_residual(Window(a, 0, 2, bad)) > 0.5
 
 
 class TestMeetJoin:
@@ -406,6 +330,77 @@ class TestMeetJoin:
         assert pu.join(pu.join(g, h), k).close_to(pu.join(g, pu.join(h, k)))
         assert pu.join(g, pu.meet(g, h)).close_to(g)
         assert pu.meet(g, pu.join(g, h)).close_to(g)
+
+
+# structurally different algebras on C^2..C^5 from the conftest family
+ALGEBRA_FAMILY = {
+    "scalar": lambda: scalar_algebra(2),
+    "diagonal": lambda: diag_algebra(3),
+    "doubled": lambda: doubled_algebra(2, seed=101),
+    "full": lambda: full_algebra(2, seed=102),
+    **{f"random{n}": (lambda n=n: random_algebra(n, 1000 + n)) for n in (3, 4, 5)},
+}
+
+
+def _sampled_pair(a, seed, max_k):
+    rng = np.random.default_rng(seed)
+    x, y = (
+        pu.random_ppu(a, int(rng.integers(0, max_k + 1)), int(rng.integers(0, 3)),
+                      seed=int(rng.integers(2**63)))
+        for _ in range(2)
+    )
+    return x, y
+
+
+@pytest.mark.parametrize("kind", sorted(ALGEBRA_FAMILY))
+def test_greedy_meet_join_match_the_window_oracle(kind):
+    a = ALGEBRA_FAMILY[kind]()
+    for s in range(6):
+        x, y = _sampled_pair(a, [105, s], max_k=4)
+        assert pu.meet(x, y).op.distance(oracle_lattice_op(x, y, pu.meet_subspace)) <= 1e-8
+        assert pu.join(x, y).op.distance(oracle_lattice_op(x, y, pu.join_subspace)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", sorted(ALGEBRA_FAMILY))
+def test_meet_is_greatest_and_join_least(kind):
+    # x = c p_M u and y = c p_M v share the left divisors c and c p_M; the
+    # duals x = d p_M^-1 u^-1 and y = d p_M^-1 v^-1 lie below d p_M^-1 and d
+    a = ALGEBRA_FAMILY[kind]()
+    for s in range(4):
+        seed = pu.derive_seed(106, s)
+        c = pu.random_ppu(a, 1 + s, s % 3, seed=pu.derive_seed(seed, 0))
+        pm = pu.p_of(pu.random_projection_in(a, pu.derive_seed(seed, 1)))
+        u = pu.random_ppu(a, 2 + s, 0, seed=pu.derive_seed(seed, 2))
+        v = pu.random_ppu(a, 3, 0, seed=pu.derive_seed(seed, 3))
+        x, y = c * pm * u, c * pm * v
+        mt = pu.meet(x, y)
+        assert pu.leq(mt, x) and pu.leq(mt, y)
+        assert pu.leq(c, mt) and pu.leq(c * pm, mt)
+        above = c * pm.inverse()
+        x, y = above * u.inverse(), above * v.inverse()
+        jn = pu.join(x, y)
+        assert pu.leq(x, jn) and pu.leq(y, jn)
+        assert pu.leq(jn, above) and pu.leq(jn, c)
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    return load_module("bench/inputs.py")
+
+
+@pytest.mark.parametrize(
+    "spec, k",
+    [("full:2", 16), ("full:2", 32), ("full:3", 32), ("full:4", 16),
+     ("block:2+2+3", 16), ("full:7", 8)],
+)
+def test_meet_and_join_bound_their_operands_at_high_degree(bench_inputs, spec, k):
+    a = bench_inputs.build_algebra(spec, 1)
+    for s in range(6):
+        x = pu.random_ppu(a, k, s % 3, 100 + s)
+        y = pu.random_ppu(a, k, 0, 200 + s)
+        mt, jn = pu.meet(x, y), pu.join(x, y)
+        assert pu.leq(mt, x) and pu.leq(mt, y)
+        assert pu.leq(x, jn) and pu.leq(y, jn)
 
 
 class TestComplement:
