@@ -19,7 +19,6 @@ from .numfield import (
     ortho_complement,
     orthonormal_basis,
     set_tolerances,
-    subspace_from_projector,
     tolerances,
 )
 from .star_algebra import (
@@ -91,7 +90,6 @@ __all__ = [
     "random_ppu",
     "random_projection_in",
     "set_tolerances",
-    "subspace_from_projector",
     "tolerances",
     "twist_alpha",
 ]

@@ -16,7 +16,7 @@ from . import ppu
 from .jsonio import laurent_to_json, subspace_to_json
 from .laurent import LaurentOp, PpuElement, ppu_t_power
 from .numfield import InputError, frob, subspace_residual, tolerances
-from .reporting import CheckReport, ReportBuilder, derive_seed
+from .reporting import CheckReport, derive_seed
 from .star_algebra import (
     StarAlgebra,
     check_orthomodular,
@@ -60,15 +60,15 @@ def _member_payload(m, n):
 
 def check_normality(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckReport:
     """Left multiplication by t distributes over joins."""
-    rb = ReportBuilder("normality", samples, seed, tolerances().eq)
+    report = CheckReport("normality", samples, seed)
     t_el = ppu_t_power(a, 1)
     for i in range(samples):
         g = _random_element(a, seed, i, 0)
         h = _random_element(a, seed, i, 1)
         lhs = (t_el * ppu.join(g, h)).op
         rhs = ppu.join(t_el * g, t_el * h).op
-        rb.record(lhs.distance(rhs), _pair_payload(g, h))
-    return rb.build()
+        report.record(lhs.distance(rhs), _pair_payload(g, h))
+    return report
 
 
 def _orthogonalish_pair(a: StarAlgebra, seed: int, i: int):
@@ -93,7 +93,7 @@ def check_singularity(a: StarAlgebra, samples: int = 100, seed: int = 0) -> Chec
     conclusion is asserted against both the lattice join and the
     elementary factor of the orthogonal sum.
     """
-    rb = ReportBuilder("singularity", samples, seed, tolerances().eq)
+    report = CheckReport("singularity", samples, seed)
     t_el = ppu_t_power(a, 1)
     for i in range(samples):
         m, n = _orthogonalish_pair(a, seed, i)
@@ -103,30 +103,29 @@ def check_singularity(a: StarAlgebra, samples: int = 100, seed: int = 0) -> Chec
             frob(m.subspace.projector() @ n.subspace.projector()) <= tolerances().eq
         )
         if divides_t != product_vanishes:
-            rb.record_flag(False, _member_payload(m, n))
+            report.record_flag(False, _member_payload(m, n))
             continue
         if not divides_t:
-            rb.skip_vacuous()
+            report.skip_vacuous()
             continue
         yx = (y * x).op
-        sum_member = oml_join(m, n)
         residual = max(
             yx.distance(ppu.join(x, y).op),
-            yx.distance(ppu.p_of(sum_member).op),
+            yx.distance(ppu._elementary(oml_join(m, n).subspace)),
         )
-        rb.record(residual, _member_payload(m, n))
-    return rb.build()
+        report.record(residual, _member_payload(m, n))
+    return report
 
 
 def check_order_unit(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckReport:
     """Every element sits below t^k for k its top exponent, and no lower."""
-    rb = ReportBuilder("order_unit", samples, seed, tolerances().eq)
+    report = CheckReport("order_unit", samples, seed)
     for i in range(samples):
         g = _random_element(a, seed, i, max_factors=5, shifts=(-2, 3))
         k = ppu.order_unit_exponent(g)
         ok = ppu.leq(g, ppu_t_power(a, k)) and not ppu.leq(g, ppu_t_power(a, k - 1))
-        rb.record_flag(ok, lambda g=g: {"g": laurent_to_json(g.op)})
-    return rb.build()
+        report.record_flag(ok, lambda g=g: {"g": laurent_to_json(g.op)})
+    return report
 
 
 def check_gamma_oml(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckReport:
@@ -137,49 +136,43 @@ def check_gamma_oml(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckR
     and the interval satisfies the orthocomplementation and orthomodular
     laws through these images.
     """
-    rb = ReportBuilder("gamma_oml", samples, seed, tolerances().eq)
+    report = CheckReport("gamma_oml", samples, seed)
     one = ppu.ppu_identity(a)
     t_el = ppu_t_power(a, 1)
     for i in range(samples):
         m = random_projection_in(a, derive_seed(seed, i, 0))
         n = random_projection_in(a, derive_seed(seed, i, 1))
         pm, pn = ppu.p_of(m), ppu.p_of(n)
-        meet_member = oml_meet(m, n)
-        join_member = oml_join(m, n)
-        comp_member = oml_complement(m)
+        pk, pc = ppu.p_of(oml_meet(m, n)), ppu.p_of(oml_complement(m))
         residual = max(
-            ppu.meet(pm, pn).op.distance(ppu.p_of(meet_member).op),
-            ppu.join(pm, pn).op.distance(ppu.p_of(join_member).op),
-            ppu.complement_in_t(pm).op.distance(ppu.p_of(comp_member).op),
+            ppu.meet(pm, pn).op.distance(pk.op),
+            ppu.join(pm, pn).op.distance(ppu._elementary(oml_join(m, n).subspace)),
+            ppu.complement_in_t(pm).op.distance(pc.op),
             subspace_residual(ppu.gamma_inverse(pm).subspace, m.subspace),
             # OL1/OL2 through the images
-            ppu.meet(pm, ppu.p_of(comp_member)).op.distance(one.op),
-            ppu.join(pm, ppu.p_of(comp_member)).op.distance(t_el.op),
+            ppu.meet(pm, pc).op.distance(one.op),
+            ppu.join(pm, pc).op.distance(t_el.op),
         )
         # orthomodular law with the coerced inclusion meet(m, n) <= n
-        pk = ppu.p_of(meet_member)
         oml_lhs = ppu.join(pk, ppu.meet(ppu.complement_in_t(pk), pn))
         residual = max(residual, oml_lhs.op.distance(pn.op))
-        rb.record(residual, _member_payload(m, n))
-    return rb.build()
+        report.record(residual, _member_payload(m, n))
+    return report
 
 
 def check_gvm(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckReport:
     """M -> p_M is a group-valued measure: orthogonal sums multiply."""
-    rb = ReportBuilder("gvm", samples, seed, tolerances().eq)
+    report = CheckReport("gvm", samples, seed)
     for i in range(samples):
         m, n = _orthogonalish_pair(a, seed, i)
         if not is_perp(m, n):
-            rb.skip_vacuous()
+            report.skip_vacuous()
             continue
-        sum_member = oml_join(m, n)
-        target = ppu.p_of(sum_member).op
-        residual = max(
-            (ppu.p_of(m) * ppu.p_of(n)).op.distance(target),
-            (ppu.p_of(n) * ppu.p_of(m)).op.distance(target),
-        )
-        rb.record(residual, _member_payload(m, n))
-    return rb.build()
+        target = ppu._elementary(oml_join(m, n).subspace)
+        pm, pn = ppu._elementary(m.subspace), ppu._elementary(n.subspace)
+        residual = max((pm * pn).distance(target), (pn * pm).distance(target))
+        report.record(residual, _member_payload(m, n))
+    return report
 
 
 def diagonal_algebra(n_points: int) -> StarAlgebra:
@@ -207,23 +200,23 @@ def check_commutative_model(n_points: int, samples: int = 100, seed: int = 0) ->
     entry.
     """
     a = diagonal_algebra(n_points)
-    rb = ReportBuilder("commutative_model", samples, seed, tolerances().eq)
+    report = CheckReport("commutative_model", samples, seed)
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         u = rng.integers(-3, 5, n_points)
         v = rng.integers(-3, 5, n_points)
         eu, ev = exponent_vector_element(a, u), exponent_vector_element(a, v)
         payload = lambda u=u, v=v: {"u": [int(x) for x in u], "v": [int(x) for x in v]}
-        rb.record((eu * ev).op.distance(exponent_vector_element(a, u + v).op), payload)
-        rb.record_flag(ppu.leq(eu, ev) == bool(np.all(u <= v)), payload)
-        rb.record_flag(ppu.leq(ev, eu) == bool(np.all(v <= u)), payload)
-        rb.record(
+        report.record((eu * ev).op.distance(exponent_vector_element(a, u + v).op), payload)
+        report.record_flag(ppu.leq(eu, ev) == bool(np.all(u <= v)), payload)
+        report.record_flag(ppu.leq(ev, eu) == bool(np.all(v <= u)), payload)
+        report.record(
             ppu.meet(eu, ev).op.distance(
                 exponent_vector_element(a, np.minimum(u, v)).op
             ),
             payload,
         )
-        rb.record(
+        report.record(
             ppu.join(eu, ev).op.distance(
                 exponent_vector_element(a, np.maximum(u, v)).op
             ),
@@ -231,8 +224,8 @@ def check_commutative_model(n_points: int, samples: int = 100, seed: int = 0) ->
         )
         w = u - u.min() if u.min() < 0 else u
         factors = ppu.factor_positive(exponent_vector_element(a, w)).factors
-        rb.record_flag(len(factors) == int(w.max()), payload)
-    return rb.build()
+        report.record_flag(len(factors) == int(w.max()), payload)
+    return report
 
 
 _ALGEBRA_CHECKS = {

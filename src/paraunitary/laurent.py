@@ -264,7 +264,7 @@ class PpuElement:
         return self.op.hi
 
     def __mul__(self, other: "PpuElement") -> "PpuElement":
-        require_same_algebra(self, other)
+        self.algebra.require_same(other.algebra)
         return PpuElement(self.op * other.op, self.algebra)
 
     def inverse(self) -> "PpuElement":
@@ -275,12 +275,6 @@ class PpuElement:
 
     def __repr__(self):
         return f"PpuElement(dim={self.op.dim}, support={list(self.op.support())})"
-
-
-def require_same_algebra(a: PpuElement, b: PpuElement) -> StarAlgebra:
-    if a.algebra is b.algebra or a.algebra.same_span(b.algebra):
-        return a.algebra
-    raise InputError("elements live over different algebras")
 
 
 def ppu_identity(algebra: StarAlgebra) -> PpuElement:

@@ -210,22 +210,6 @@ def ortho_complement(s: Subspace) -> Subspace:
     return kernel(s.frame.conj().T)
 
 
-def subspace_from_projector(p) -> Subspace:
-    """Recover the subspace from a self-adjoint idempotent matrix."""
-    a = as_matrix(p)
-    if a.shape[0] != a.shape[1]:
-        raise InputError("projector must be square")
-    scale = max(1.0, frob(a))
-    if frob(a - a.conj().T) > tolerances().eq * scale:
-        raise InputError("matrix is not self-adjoint")
-    if frob(a @ a - a) > tolerances().eq * scale:
-        raise InputError("matrix is not idempotent")
-    s = orthonormal_basis(a)
-    if mat_residual(s.projector(), a) > tolerances().eq:
-        raise NumericalError("projector round-trip failed")
-    return s
-
-
 def subspace_residual(a: Subspace, b: Subspace) -> float:
     """Relative projector distance between two subspaces."""
     if a.ambient_dim != b.ambient_dim:

@@ -6,16 +6,18 @@ invariant-subspace lattice ``X(A')``.  Every question about a positive
 element reduces to its constant coefficient ``phi_0``: the *head*
 ``ker(phi_0^H)`` is the largest ``M`` with ``p_M`` dividing ``phi`` on
 the left, and the *tail* ``ker(phi_0)`` the largest with ``p_M``
-dividing on the right.  Peeling heads factors an element into degree-one
-pieces; peeling the intersection of two heads (or tails) is the greedy
-gcd of Garside theory, which gives the meet (and, through ``phi^-1 t^k``,
-the join).  Every rank decision is on an ``n x n`` matrix, whatever the
-degree.
+dividing on the right.  One peel does all the work: dividing a list of
+elements by ``p_s``, ``s`` the intersection of their heads (or tails),
+until ``s`` is zero is the greedy gcd of Garside theory.  The gcd of two
+elements is their meet (and, through ``phi^-1 t^k``, their join); the
+gcd of an element with itself peels it into degree-one factors.  Every
+rank decision is on an ``n x n`` matrix, whatever the degree.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .laurent import (
     in_positive_cone,
     ppu_identity,
     ppu_t_power,
-    require_same_algebra,
 )
 from .numfield import (
     InputError,
@@ -33,6 +34,7 @@ from .numfield import (
     Subspace,
     kernel,
     meet_subspace,
+    zero_subspace,
 )
 from .star_algebra import (
     InvariantSubspace,
@@ -43,12 +45,15 @@ from .star_algebra import (
 from .reporting import derive_seed
 
 
+def _elementary(s: Subspace, power: int = 1) -> LaurentOp:
+    """p_s^power = t^power pi_s + (1 - pi_s), for power = 1 or -1."""
+    proj = s.projector()
+    return LaurentOp(s.ambient_dim, {power: proj, 0: np.eye(s.ambient_dim) - proj})
+
+
 def p_of(member: InvariantSubspace) -> PpuElement:
     """Degree-one elementary factor: t on the subspace, identity off it."""
-    n = member.algebra.dim
-    proj = member.subspace.projector()
-    op = LaurentOp(n, {1: proj, 0: np.eye(n) - proj})
-    return PpuElement(op, member.algebra)
+    return PpuElement(_elementary(member.subspace), member.algebra)
 
 
 def gamma_inverse(el: PpuElement) -> InvariantSubspace:
@@ -56,10 +61,8 @@ def gamma_inverse(el: PpuElement) -> InvariantSubspace:
     t_el = ppu_t_power(el.algebra, 1)
     if not (in_positive_cone(el.op) and leq(el, t_el)):
         raise InputError("element is not between the identity and t")
-    member = certify_member(el.algebra, _head(el.op))
-    if not p_of(member).op.close_to(el.op):
-        raise NumericalError("elementary-factor round trip failed")
-    return member
+    factors = factor_positive(el).factors
+    return factors[0] if factors else certify_member(el.algebra, zero_subspace(el.op.dim))
 
 
 def _head(op: LaurentOp, right: bool = False) -> Subspace:
@@ -73,15 +76,45 @@ def _head(op: LaurentOp, right: bool = False) -> Subspace:
     return kernel(c0 if right else c0.conj().T)
 
 
-def _elementary_inverse(s: Subspace) -> LaurentOp:
-    """p_s^-1 = t^-1 pi_s + (1 - pi_s)."""
-    proj = s.projector()
-    return LaurentOp(s.ambient_dim, {-1: proj, 0: np.eye(s.ambient_dim) - proj})
+def _peel(
+    ops: list[LaurentOp], algebra: StarAlgebra, right: bool = False
+) -> tuple[list[InvariantSubspace], list[LaurentOp]]:
+    """Greedy gcd of positive elements, left by heads or ``right`` by tails.
+
+    Each step divides every operand by p_s, s the intersection of their
+    heads (tails); the gcd is the product of the p_s in the order peeled
+    (for the right gcd, from the right).  A step lowers the determinant
+    degree of every operand by dim s >= 1, not necessarily the top
+    exponent, so at most n * min(hi) steps run.  The peel ends when s is
+    zero or an operand has top exponent 0 (a pure positive constant is
+    the identity), and every remainder must then lie in the positive
+    cone.  Returns the peeled members and the remainders.
+    """
+    cap = algebra.dim * min(op.hi for op in ops)
+    peeled: list[InvariantSubspace] = []
+    while min(op.hi for op in ops) > 0:
+        s = functools.reduce(meet_subspace, [_head(op, right) for op in ops])
+        if s.dim == 0:
+            break
+        if len(peeled) == cap:
+            raise NumericalError(f"greedy peel did not end within {cap} steps")
+        try:
+            member = certify_member(algebra, s)
+        except InputError as exc:
+            raise NumericalError(f"divisor {len(peeled) + 1} failed certification") from exc
+        inv = _elementary(s, -1)
+        ops = [op * inv if right else inv * op for op in ops]
+        if min(op.lo for op in ops) < 0:
+            raise NumericalError(f"negative exponent after divisor {len(peeled) + 1}")
+        peeled.append(member)
+    if not all(in_positive_cone(op) for op in ops):
+        raise NumericalError("greedy peel left a remainder outside the positive cone")
+    return peeled, ops
 
 
 def leq(a: PpuElement, b: PpuElement) -> bool:
     """Divisibility order: a <= b iff a^-1 b has only non-negative exponents."""
-    require_same_algebra(a, b)
+    a.algebra.require_same(b.algebra)
     return in_positive_cone(a.op.star() * b.op)
 
 
@@ -100,88 +133,36 @@ class FactorList:
     def assemble(self, algebra: StarAlgebra) -> PpuElement:
         op = LaurentOp.t_power(algebra.dim, -self.shift)
         for member in self.factors:
-            op = op * p_of(member).op
+            op = op * _elementary(member.subspace)
         return PpuElement(op, algebra)
 
 
 def factor_positive(el: PpuElement) -> FactorList:
-    """Peel a positive-cone element into degree-one factors.
+    """Peel a positive-cone element into degree-one factors: its gcd with itself.
 
-    Each step removes the factor supported on the kernel of the adjoint
-    constant coefficient; paraunitarity forces the top coefficient's
-    range into that kernel, so the degree drops by at least one per
-    step and the factor count equals the top exponent.
+    The head of the element is its greatest common left divisor with t,
+    so dividing by it lowers the top exponent by exactly one: the factor
+    count equals the top exponent, and a head split over two steps shows
+    up as one factor too many.
     """
     if not in_positive_cone(el.op):
         raise InputError("element is not in the positive cone")
-    algebra = el.algebra
-    members: list[InvariantSubspace] = []
-    cur = el.op
-    while cur.hi > 0:
-        prev_hi = cur.hi
-        m1 = _head(cur)
-        try:
-            member = certify_member(algebra, m1)
-        except InputError as exc:
-            raise NumericalError(
-                f"peeled subspace at degree {prev_hi} failed certification"
-            ) from exc
-        members.append(member)
-        cur = _elementary_inverse(m1) * cur
-        if cur.lo < 0:
-            raise NumericalError(
-                f"negative exponents survived the peel at degree {prev_hi}"
-            )
-        if cur.hi >= prev_hi:
-            raise NumericalError(f"degree failed to decrease at {prev_hi}")
-    if not cur.close_to(LaurentOp.identity(algebra.dim)):
-        raise NumericalError("factorization left a non-identity constant")
+    members, (rest,) = _peel([el.op], el.algebra)
+    if len(members) != el.hi:
+        raise NumericalError(f"{len(members)} factors for top exponent {el.hi}")
+    if not rest.close_to(LaurentOp.identity(el.op.dim)):
+        raise NumericalError("factorization left a non-identity remainder")
     result = FactorList(0, tuple(members))
-    if not result.assemble(algebra).op.close_to(el.op):
+    if not result.assemble(el.algebra).op.close_to(el.op):
         raise NumericalError("reassembled factorization does not match the input")
     return result
 
 
-def _greedy_gcd(
-    x: LaurentOp, y: LaurentOp, algebra: StarAlgebra, right: bool = False
-) -> list[InvariantSubspace]:
-    """Greedy gcd of two positive elements, left by heads or ``right`` by tails.
-
-    Each step divides both by p_s, s the intersection of their heads
-    (tails); the gcd is the product of the p_s in the order peeled (for
-    the right gcd, from the right).  A step lowers the determinant degree
-    of both by dim s >= 1, not necessarily the top exponent, so at most
-    n * min(hi) steps run.  The last step finds no common head, and both
-    remainders must then lie in the positive cone.
-    """
-    cap = algebra.dim * min(x.hi, y.hi)
-    peeled: list[InvariantSubspace] = []
-    while (s := meet_subspace(_head(x, right), _head(y, right))).dim > 0:
-        if len(peeled) == cap:
-            raise NumericalError(f"greedy gcd did not end within {cap} steps")
-        try:
-            member = certify_member(algebra, s)
-        except InputError as exc:
-            raise NumericalError(
-                f"common divisor {len(peeled) + 1} failed certification"
-            ) from exc
-        inv = _elementary_inverse(s)
-        x, y = (x * inv, y * inv) if right else (inv * x, inv * y)
-        if min(x.lo, y.lo) < 0:
-            raise NumericalError(
-                f"negative exponent after common divisor {len(peeled) + 1}"
-            )
-        peeled.append(member)
-    if not (in_positive_cone(x) and in_positive_cone(y)):
-        raise NumericalError("greedy gcd left a remainder outside the positive cone")
-    return peeled
-
-
 def meet(a: PpuElement, b: PpuElement) -> PpuElement:
     """Greatest lower bound: t^m times the left gcd of t^-m a and t^-m b."""
-    algebra = require_same_algebra(a, b)
+    algebra = a.algebra.require_same(b.algebra)
     m = min(a.lo, b.lo)
-    members = _greedy_gcd(a.op.shifted(-m), b.op.shifted(-m), algebra)
+    members, _ = _peel([a.op.shifted(-m), b.op.shifted(-m)], algebra)
     return FactorList(-m, tuple(members)).assemble(algebra)
 
 
@@ -192,14 +173,12 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
     b^-1 t^k, so the least such z comes from the greatest such w.  The
     order is only left-invariant, so (a^-1 meet b^-1)^-1 is not the join.
     """
-    algebra = require_same_algebra(a, b)
+    algebra = a.algebra.require_same(b.algebra)
     k = max(a.hi, b.hi)
-    members = _greedy_gcd(
-        a.op.star().shifted(k), b.op.star().shifted(k), algebra, right=True
-    )
+    members, _ = _peel([a.op.star().shifted(k), b.op.star().shifted(k)], algebra, right=True)
     op = LaurentOp.t_power(algebra.dim, k)
     for member in members:
-        op = op * _elementary_inverse(member.subspace)
+        op = op * _elementary(member.subspace, -1)
     return PpuElement(op, algebra)
 
 
@@ -219,5 +198,5 @@ def random_ppu(algebra: StarAlgebra, k: int, shift: int, seed: int) -> PpuElemen
     op = LaurentOp.identity(algebra.dim)
     for i in range(k):
         member = random_projection_in(algebra, derive_seed(seed, i))
-        op = op * p_of(member).op
+        op = op * _elementary(member.subspace)
     return PpuElement(op.shifted(-int(shift)), algebra)

@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 
-from .numfield import InputError
+from .numfield import InputError, tolerances
 
 
 def derive_seed(*path: int) -> int:
@@ -22,25 +22,56 @@ def derive_seed(*path: int) -> int:
     return int(np.random.SeedSequence(entries).generate_state(1, dtype=np.uint64)[0])
 
 
+MIN_EFFECTIVE_SAMPLES = 20
+
+
 @dataclasses.dataclass
 class CheckReport:
-    """Outcome of one verification check.
+    """Outcome of one verification check, filled in sample by sample.
 
-    ``pass`` holds iff no failures were recorded and the worst residual
-    stays at or below the tolerance the check ran with.  Samples whose
-    hypothesis did not apply are counted in ``vacuous``; a check with
-    fewer than the minimum of effective samples is ``inconclusive``
-    rather than passing by vacuity.
+    A residual above the active equality tolerance is recorded as a
+    failure, so the check passes iff no failures were recorded.  Samples
+    whose hypothesis did not apply are counted in ``vacuous``; a check
+    with fewer than ``MIN_EFFECTIVE_SAMPLES`` effective samples is
+    ``inconclusive`` rather than passing by vacuity.
     """
 
     check: str
     samples: int
     seed: int
-    passed: bool
-    max_error: float
-    failures: list
+    max_error: float = 0.0
+    failures: list = dataclasses.field(default_factory=list)
     vacuous: int = 0
-    inconclusive: bool = False
+    effective: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.effective < MIN_EFFECTIVE_SAMPLES
+
+    def record(self, residual: float, payload) -> None:
+        """Register one effective sample; payload is kept on failure only.
+
+        ``payload`` may be a callable so that counterexample serialization
+        is paid for only when a sample actually fails.
+        """
+        self.effective += 1
+        residual = float(residual)
+        self.max_error = max(self.max_error, residual)
+        if residual > tolerances().eq:
+            self.failures.append({"residual": residual, "input": _force(payload)})
+
+    def record_flag(self, ok: bool, payload) -> None:
+        """Register a boolean law instance (no numeric residual)."""
+        self.effective += 1
+        if not ok:
+            self.failures.append({"input": _force(payload)})
+
+    def skip_vacuous(self) -> None:
+        self.vacuous += 1
 
     def to_json(self) -> dict:
         return {
@@ -53,58 +84,6 @@ class CheckReport:
             "vacuous": self.vacuous,
             "inconclusive": self.inconclusive,
         }
-
-
-MIN_EFFECTIVE_SAMPLES = 20
-
-
-class ReportBuilder:
-    """Accumulates residuals and counterexamples for one check."""
-
-    def __init__(self, check: str, samples: int, seed: int, tol: float,
-                 min_effective: int = MIN_EFFECTIVE_SAMPLES):
-        self.check = check
-        self.samples = samples
-        self.seed = seed
-        self.tol = tol
-        self.min_effective = min_effective
-        self.max_error = 0.0
-        self.failures: list = []
-        self.effective = 0
-        self.vacuous = 0
-
-    def record(self, residual: float, payload) -> None:
-        """Register one effective sample; payload is kept on failure only.
-
-        ``payload`` may be a callable so that counterexample serialization
-        is paid for only when a sample actually fails.
-        """
-        self.effective += 1
-        residual = float(residual)
-        self.max_error = max(self.max_error, residual)
-        if residual > self.tol:
-            self.failures.append({"residual": residual, "input": _force(payload)})
-
-    def record_flag(self, ok: bool, payload) -> None:
-        """Register a boolean law instance (no numeric residual)."""
-        self.effective += 1
-        if not ok:
-            self.failures.append({"input": _force(payload)})
-
-    def skip_vacuous(self) -> None:
-        self.vacuous += 1
-
-    def build(self) -> CheckReport:
-        return CheckReport(
-            check=self.check,
-            samples=self.samples,
-            seed=self.seed,
-            passed=not self.failures,
-            max_error=self.max_error,
-            failures=self.failures,
-            vacuous=self.vacuous,
-            inconclusive=self.effective < self.min_effective,
-        )
 
 
 def _force(payload):

@@ -30,7 +30,7 @@ from .numfield import (
     tolerances,
     zero_subspace,
 )
-from .reporting import CheckReport, ReportBuilder, derive_seed
+from .reporting import CheckReport, derive_seed
 
 # relative eigenvalue-gap threshold for grouping spectral projections
 CLUSTER_GAP = 1e-6
@@ -96,6 +96,12 @@ class StarAlgebra:
         if self.dim != other.dim or self.linear_dim != other.linear_dim:
             return False
         return all(other.contains(b) for b in self.basis)
+
+    def require_same(self, other: "StarAlgebra") -> "StarAlgebra":
+        """This algebra if ``other`` spans the same one, else ``InputError``."""
+        if self is other or self.same_span(other):
+            return self
+        raise InputError("operands belong to different algebras")
 
     def closure_residual(self) -> float:
         """Worst membership residual over pairwise products and adjoints."""
@@ -279,19 +285,13 @@ def random_projection_in(a: StarAlgebra, seed: int) -> InvariantSubspace:
     raise NumericalError("no certified spectral projection after 16 attempts")
 
 
-def _same_algebra(m: InvariantSubspace, n: InvariantSubspace) -> StarAlgebra:
-    if m.algebra is n.algebra or m.algebra.same_span(n.algebra):
-        return m.algebra
-    raise InputError("operands belong to different algebras")
-
-
 def oml_meet(m: InvariantSubspace, n: InvariantSubspace) -> InvariantSubspace:
-    a = _same_algebra(m, n)
+    a = m.algebra.require_same(n.algebra)
     return certify_member(a, meet_subspace(m.subspace, n.subspace))
 
 
 def oml_join(m: InvariantSubspace, n: InvariantSubspace) -> InvariantSubspace:
-    a = _same_algebra(m, n)
+    a = m.algebra.require_same(n.algebra)
     return certify_member(a, join_subspace(m.subspace, n.subspace))
 
 
@@ -300,7 +300,7 @@ def oml_complement(m: InvariantSubspace) -> InvariantSubspace:
 
 
 def is_perp(m: InvariantSubspace, n: InvariantSubspace) -> bool:
-    _same_algebra(m, n)
+    m.algebra.require_same(n.algebra)
     return n.subspace.contained_in(ortho_complement(m.subspace))
 
 
@@ -319,7 +319,7 @@ def check_orthomodular(a: StarAlgebra, samples: int, seed: int) -> CheckReport:
     """Sampled orthomodular law: m <= n implies m v (m* ^ n) = n."""
     from .jsonio import subspace_to_json
 
-    rb = ReportBuilder("orthomodular", samples, seed, tolerances().eq)
+    report = CheckReport("orthomodular", samples, seed)
     for i in range(samples):
         n_member = random_projection_in(a, derive_seed(seed, i, 0))
         m_raw = random_projection_in(a, derive_seed(seed, i, 1))
@@ -327,11 +327,11 @@ def check_orthomodular(a: StarAlgebra, samples: int, seed: int) -> CheckReport:
         lhs = join_subspace(
             m_sub, meet_subspace(ortho_complement(m_sub), n_member.subspace)
         )
-        rb.record(
+        report.record(
             subspace_residual(lhs, n_member.subspace),
             lambda m=m_sub, n=n_member: {
                 "m": subspace_to_json(m),
                 "n": subspace_to_json(n.subspace),
             },
         )
-    return rb.build()
+    return report

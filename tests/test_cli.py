@@ -335,25 +335,29 @@ def test_unknown_subcommand_exits_two():
     assert proc.returncode == 2
 
 
-def _non_member_line(a, b):
+def _non_member_line(n):
     # the all-ones line is moved out of its span by diag(1, 0) in the
     # commutant of the diagonal algebra, so it fails certification
-    return pu.orthonormal_basis(np.ones((a.ambient_dim, 1)))
+    return pu.orthonormal_basis(np.ones((n, 1)))
 
 
-@pytest.mark.parametrize("op", ["meet", "join"])
+@pytest.mark.parametrize("op", ["meet", "join", "factor"])
 @pytest.mark.parametrize("fault", ["non-member-divisor", "negative-exponent"])
 def test_lattice_numerical_failure_exits_one(files, capsys, monkeypatch, op, fault):
-    if fault == "non-member-divisor":
-        monkeypatch.setattr(ppu, "meet_subspace", _non_member_line)
+    if fault == "non-member-divisor" and op == "factor":
+        # one operand: its head is the divisor, with no intersection taken
+        monkeypatch.setattr(ppu, "kernel", lambda m: _non_member_line(m.shape[1]))
+        message = "failed certification"
+    elif fault == "non-member-divisor":
+        monkeypatch.setattr(ppu, "meet_subspace", lambda a, b: _non_member_line(a.ambient_dim))
         message = "failed certification"
     else:
         # a full head divides by t, which leaves a t^-1 coefficient
         monkeypatch.setattr(ppu, "kernel", lambda m: full_subspace(m.shape[1]))
         message = "negative exponent"
-    code, out, err = run_cli(
-        capsys, "lattice", op, files["alg.json"], files["el.json"], files["el.json"]
-    )
+    alg, el = files["alg.json"], files["el.json"]
+    argv = ["factor", alg, el] if op == "factor" else ["lattice", op, alg, el, el]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["kind"] == "numerical"

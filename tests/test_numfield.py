@@ -159,20 +159,6 @@ class TestComplementAndProjector:
         ) < 1e-12
         assert frob(zero_subspace(2).projector()) == 0.0
 
-    def test_from_projector_roundtrip(self):
-        p = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
-        s = pu.subspace_from_projector(p)
-        assert s.dim == 1
-        assert frob(s.projector() - p) <= 1e-12
-        v = np.array([[1.0], [1.0]]) / np.sqrt(2)
-        assert mat_residual(s.projector(), v @ v.conj().T) < 1e-12
-
-    def test_from_projector_rejects_bad_input(self):
-        with pytest.raises(InputError):
-            pu.subspace_from_projector(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(InputError):
-            pu.subspace_from_projector(np.array([[2.0, 0.0], [0.0, 0.0]]))
-
 
 dims = st.integers(min_value=1, max_value=4)
 seeds = st.integers(min_value=0, max_value=10**6)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
+from paraunitary import ppu
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import (
     InputError,
+    NumericalError,
     kernel,
     mat_residual,
     subspace_residual,
@@ -235,6 +237,26 @@ class TestFactorPositive:
         a = diag_algebra(2)
         with pytest.raises(InputError):
             pu.factor_positive(pu.ppu_t_power(a, -1))
+
+    def test_split_head_is_caught_by_the_factor_count(self, monkeypatch):
+        # the head of t is C^2; handing out one coordinate line first splits
+        # it over two steps, whose two factors still multiply back to t
+        a = diag_algebra(2)
+        heads = iter([pu.orthonormal_basis(E1)])
+        monkeypatch.setattr(ppu, "kernel", lambda m: next(heads, None) or kernel(m))
+        with pytest.raises(NumericalError, match="2 factors for top exponent 1"):
+            pu.factor_positive(pu.ppu_t_power(a, 1))
+
+    def test_reassembly_catches_a_factor_other_than_the_divisor(self, monkeypatch):
+        # the peel divides by p_M but records p_{M^perp}: the remainder is
+        # the identity and the count is right, only the product differs
+        a = diag_algebra(2)
+        monkeypatch.setattr(
+            ppu, "certify_member",
+            lambda alg, s: pu.certify_member(alg, pu.ortho_complement(s)),
+        )
+        with pytest.raises(NumericalError, match="reassembled"):
+            pu.factor_positive(pu.p_of(member_of(a, E1)))
 
 
 class TestReconstruct:

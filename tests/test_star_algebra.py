@@ -175,9 +175,10 @@ class TestClosureAgainstReference:
 
     def test_full_m16_closes_in_under_a_second(self):
         gen = rand_matrix(np.random.default_rng(16), 16, 16)
-        start = time.perf_counter()
+        # CPU time of this process, so a busy host does not count against it
+        start = time.process_time()
         a = pu.generate_algebra(16, [gen])
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         assert a.linear_dim == 256
         assert elapsed < 1.0
 
