@@ -18,7 +18,7 @@ from .numfield import (
     meet_subspace,
     ortho_complement,
     orthonormal_basis,
-    set_tolerances,
+    tolerance_scope,
     tolerances,
 )
 from .star_algebra import (
@@ -89,7 +89,7 @@ __all__ = [
     "ppu_t_power",
     "random_ppu",
     "random_projection_in",
-    "set_tolerances",
+    "tolerance_scope",
     "tolerances",
     "twist_alpha",
 ]

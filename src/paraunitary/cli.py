@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import axioms
 from .jsonio import (
     algebra_from_json,
@@ -27,13 +29,14 @@ from .numfield import (
     NumericalError,
     Tolerances,
     frob,
-    set_tolerances,
+    tolerance_scope,
     tolerances,
 )
 from .ppu import FactorList, factor_positive, join, leq, meet, random_ppu
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, run) -> None:
+    """The flags every subcommand takes, and ``run(args)``, the command itself."""
     defaults = Tolerances()
     parser.add_argument("--tol-rank", type=float, default=defaults.rank,
                         help="relative singular-value cutoff")
@@ -41,10 +44,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="matrix-equality tolerance")
     parser.add_argument("--tol-trim", type=float, default=defaults.trim,
                         help="Laurent coefficient trim threshold")
-    parser.add_argument("--seed", type=int, default=0, help="root PRNG seed")
-    parser.add_argument("--samples", type=int, default=100,
-                        help="sample count for verification checks")
     parser.add_argument("--out", default=None, help="write the payload to this file")
+    parser.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,14 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor an element into elementary factors")
     p.add_argument("algebra")
     p.add_argument("element")
-    _add_common(p)
+    _add_common(p, _cmd_factor)
 
     p = sub.add_parser("lattice", help="meet, join, or compare two elements")
     p.add_argument("op", choices=("meet", "join", "leq"))
     p.add_argument("algebra")
     p.add_argument("a")
     p.add_argument("b")
-    _add_common(p)
+    _add_common(p, _cmd_lattice)
 
     p = sub.add_parser("verify", help="run the axiom checks on an algebra")
     p.add_argument("algebra")
@@ -72,22 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of: " + ", ".join(axioms.CHECK_NAMES))
     p.add_argument("--points", type=int, default=4,
                    help="point count for the commutative model check")
-    _add_common(p)
+    p.add_argument("--samples", type=int, default=100,
+                   help="sample count for verification checks")
+    p.add_argument("--seed", type=int, default=0, help="root PRNG seed")
+    _add_common(p, _cmd_verify)
 
     p = sub.add_parser("random", help="emit a seeded random group element")
     p.add_argument("algebra")
     p.add_argument("--factors", type=int, default=3)
     p.add_argument("--shift", type=int, default=0)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="root PRNG seed")
+    _add_common(p, _cmd_random)
 
     p = sub.add_parser("commutant", help="emit a basis of the commutant")
     p.add_argument("algebra")
-    _add_common(p)
+    _add_common(p, _cmd_commutant)
 
     p = sub.add_parser("eval", help="evaluate an element at a unit-circle point")
     p.add_argument("element")
     p.add_argument("--z", default="1", help="evaluation point, Python complex syntax")
-    _add_common(p)
+    _add_common(p, _cmd_eval)
 
     return parser
 
@@ -140,6 +145,10 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise InputError("seed must be non-negative")
+    if args.samples < 0:
+        raise InputError("sample count must be non-negative")
     algebra = algebra_from_json(_load_json(args.algebra))
     checks = None
     if args.checks is not None:
@@ -152,9 +161,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if args.seed < 0:
+        raise InputError("seed must be non-negative")
     algebra = algebra_from_json(_load_json(args.algebra))
-    if args.factors < 0:
-        raise InputError("factor count must be non-negative")
     element = random_ppu(algebra, args.factors, args.shift, args.seed)
     _emit(laurent_to_json(element.op), args.out)
     return 0
@@ -178,38 +187,23 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "factor": _cmd_factor,
-    "lattice": _cmd_lattice,
-    "verify": _cmd_verify,
-    "random": _cmd_random,
-    "commutant": _cmd_commutant,
-    "eval": _cmd_eval,
-}
-
-
+# an overflow is reported by the check that sees it, not also as a NumPy warning
+@np.errstate(over="ignore")
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    previous = tolerances()
     try:
-        if args.seed < 0:
-            raise InputError("seed must be non-negative")
-        if args.samples < 0:
-            raise InputError("sample count must be non-negative")
-        set_tolerances(Tolerances(rank=args.tol_rank, eq=args.tol_eq, trim=args.tol_trim))
-        return _COMMANDS[args.command](args)
+        with tolerance_scope(rank=args.tol_rank, eq=args.tol_eq, trim=args.tol_trim):
+            return args.run(args)
     except InputError as exc:
         sys.stderr.write(canonical_dumps({"error": str(exc), "kind": "input"}) + "\n")
         return 2
     except NumericalError as exc:
         sys.stderr.write(canonical_dumps({"error": str(exc), "kind": "numerical"}) + "\n")
         return 1
-    finally:
-        set_tolerances(previous)
 
 
 def console_main() -> None:

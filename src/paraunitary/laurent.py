@@ -42,6 +42,8 @@ class LaurentOp:
             cleaned[e] = c
             norms[e] = frob(c)
         peak = max(norms.values(), default=0.0)
+        if not math.isfinite(peak):
+            raise InputError("coefficient norm overflows")
         threshold = tolerances().trim * peak
         self.coeffs = {
             e: cleaned[e] for e in sorted(cleaned) if norms[e] > threshold

@@ -9,6 +9,7 @@ the zero subspace is a frame with zero columns, never ``None``.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import math
 
@@ -47,30 +48,22 @@ class Tolerances:
             raise InputError("trim threshold must not exceed 1e-6")
 
 
-_ACTIVE = Tolerances()
+_ACTIVE = contextvars.ContextVar("tolerances", default=Tolerances())
 
 
 def tolerances() -> Tolerances:
-    """The currently active tolerance configuration."""
-    return _ACTIVE
-
-
-def set_tolerances(tol: Tolerances) -> None:
-    global _ACTIVE
-    if not isinstance(tol, Tolerances):
-        raise InputError("expected a Tolerances instance")
-    _ACTIVE = tol
+    """The tolerance configuration active in this thread or task."""
+    return _ACTIVE.get()
 
 
 @contextlib.contextmanager
 def tolerance_scope(**overrides):
-    """Temporarily override tolerance fields (keyword form of the dataclass)."""
-    previous = _ACTIVE
-    set_tolerances(dataclasses.replace(previous, **overrides))
+    """Override tolerance fields for a block, in the current thread or task only."""
+    token = _ACTIVE.set(dataclasses.replace(_ACTIVE.get(), **overrides))
     try:
-        yield tolerances()
+        yield _ACTIVE.get()
     finally:
-        set_tolerances(previous)
+        _ACTIVE.reset(token)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -130,12 +123,7 @@ class Subspace:
 
     def contained_in(self, other: "Subspace") -> bool:
         """Inclusion test via the residual ||(I - pi_other) frame||_F."""
-        return self.inclusion_residual(other) <= tolerances().eq
-
-    def inclusion_residual(self, other: "Subspace") -> float:
-        if self.ambient_dim != other.ambient_dim:
-            raise InputError("ambient dimension mismatch")
-        return columns_outside(self.frame, other)
+        return columns_outside(self.frame, other) <= tolerances().eq
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -69,19 +69,14 @@ class StarAlgebra:
     def linear_dim(self) -> int:
         return len(self.basis)
 
-    def coefficients(self, x) -> np.ndarray:
-        """Expansion coefficients of x against the orthonormal basis."""
+    def membership_residual(self, x) -> float:
+        """||x - pi(x)||_F / max(1, ||x||_F), pi the orthogonal projection onto the algebra."""
         x = as_matrix(x)
         if x.shape != (self.dim, self.dim):
             raise InputError("dimension mismatch")
-        return self._vec.conj() @ x.reshape(-1)
-
-    def project(self, x) -> np.ndarray:
-        return (self.coefficients(x) @ self._vec).reshape(self.dim, self.dim)
-
-    def membership_residual(self, x) -> float:
-        x = as_matrix(x)
-        return frob(x - self.project(x)) / max(1.0, frob(x))
+        coefficients = self._vec.conj() @ x.reshape(-1)
+        projection = (coefficients @ self._vec).reshape(self.dim, self.dim)
+        return frob(x - projection) / max(1.0, frob(x))
 
     def contains(self, x) -> bool:
         return self.membership_residual(x) <= tolerances().eq

@@ -22,10 +22,10 @@ def load_module(relpath):
 
 
 @pytest.fixture(autouse=True)
-def _restore_tolerances():
-    before = pu.tolerances()
+def _default_tolerances_stay_active():
+    """A test that leaves a tolerance override active fails at its teardown."""
     yield
-    pu.set_tolerances(before)
+    assert pu.tolerances() == pu.Tolerances()
 
 
 def rand_matrix(rng, rows, cols):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -257,6 +258,77 @@ def test_infinite_tolerance_cannot_pass_a_non_paraunitary_factor(files, capsys, 
     )
     assert code == 2 and out == ""
     assert json.loads(err)["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--seed", "-1"], "seed must be non-negative"),
+        (["verify", "--samples", "-1"], "sample count must be non-negative"),
+        (["random", "--seed", "-1"], "seed must be non-negative"),
+        (["random", "--factors", "-1"], "factor count must be non-negative"),
+    ],
+    ids=["verify-seed", "verify-samples", "random-seed", "random-factors"],
+)
+def test_negative_counts_are_input_errors(files, capsys, argv, message):
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, files["alg.json"], *flags)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": message, "kind": "input"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["factor", "alg.json", "el.json", "--seed", "1"],
+     ["lattice", "meet", "alg.json", "el.json", "el.json", "--samples", "5"]],
+    ids=["factor-seed", "meet-samples"],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(files, capsys, argv):
+    code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+_EVERY_COMMAND = ["--out", "--tol-eq", "--tol-rank", "--tol-trim"]
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    flags = {
+        name: sorted(f for action in sub._actions for f in action.option_strings
+                     if f not in ("-h", "--help"))
+        for name, sub in commands.items()
+    }
+    assert flags == {
+        "factor": _EVERY_COMMAND,
+        "lattice": _EVERY_COMMAND,
+        "verify": sorted(_EVERY_COMMAND + ["--checks", "--points", "--samples", "--seed"]),
+        "random": sorted(_EVERY_COMMAND + ["--factors", "--seed", "--shift"]),
+        "commutant": _EVERY_COMMAND,
+        "eval": sorted(_EVERY_COMMAND + ["--z"]),
+    }
+    assert sum(map(len, flags.values())) == 32
+
+
+def test_huge_coefficient_is_an_input_error(tmp_path):
+    # 1e200 is a finite entry, but its Frobenius norm overflows; eval
+    # used to print the zero matrix and exit 0
+    element = tmp_path / "huge.json"
+    element.write_text(json.dumps({"dim": 1, "coeffs": {
+        "0": {"rows": 1, "cols": 1, "data": [[[1e200, 0.0]]]},
+        "1": {"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]},
+    }}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "paraunitary", "eval", str(element), "--z", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr) == {"error": "coefficient norm overflows", "kind": "input"}
 
 
 def test_factor_checks_its_reconstruction_residual(files, capsys, monkeypatch):

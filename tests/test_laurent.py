@@ -251,6 +251,15 @@ def test_zero_op_degree_convention():
     assert z.is_zero and z.lo == 0 and z.hi == 0
 
 
+def test_overflowing_coefficient_norm_is_an_input_error():
+    # the Frobenius norm of 1e200 I overflows, and a trim against
+    # trim * inf used to drop every coefficient, leaving the zero element
+    with pytest.raises(InputError, match="coefficient norm overflows"), np.errstate(over="ignore"):
+        LaurentOp(2, {0: 1e200 * np.eye(2)})
+    op = LaurentOp(1, {0: [[1e150]]})
+    assert op.eval_at(1.0)[0, 0] == 1e150
+
+
 def reference_residual(op):
     """The residual from the two full Cauchy products, trimming nothing."""
     with tolerance_scope(trim=1e-300):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +133,47 @@ def test_tolerances_must_be_finite_positive_and_bounded(field, value):
         pu.Tolerances(**{field: value})
     assert pu.Tolerances(eq=1e-4).eq == 1e-4
     assert pu.Tolerances(trim=1e-6).trim == 1e-6
+
+
+class TestToleranceScope:
+    def test_override_is_undone_when_the_block_raises(self):
+        with pytest.raises(RuntimeError, match="inside the scope"):
+            with pu.tolerance_scope(eq=1e-5) as active:
+                assert pu.tolerances() is active and active.eq == 1e-5
+                raise RuntimeError("inside the scope")
+        assert pu.tolerances() == pu.Tolerances()
+
+    def test_bad_value_is_rejected_on_entry_and_the_outer_value_stays(self):
+        with pu.tolerance_scope(eq=1e-6):
+            with pytest.raises(InputError):
+                with pu.tolerance_scope(eq=float("inf")):
+                    pytest.fail("entered a scope with an infinite tolerance")
+            assert pu.tolerances() == pu.Tolerances(eq=1e-6)
+        assert pu.tolerances() == pu.Tolerances()
+
+    def test_scope_is_not_seen_by_a_running_thread(self):
+        main_entered, worker_entered, main_checked = (threading.Event() for _ in range(3))
+        seen = []
+
+        def worker():
+            if main_entered.wait(10):
+                seen.append(pu.tolerances())
+                with pu.tolerance_scope(trim=1e-8):
+                    worker_entered.set()
+                    main_checked.wait(10)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            with pu.tolerance_scope(rank=1e-7):
+                main_entered.set()
+                assert worker_entered.wait(10)
+                assert pu.tolerances() == pu.Tolerances(rank=1e-7)
+        finally:
+            main_checked.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert seen == [pu.Tolerances()]
 
 
 class TestComplementAndProjector:
