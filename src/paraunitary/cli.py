@@ -9,6 +9,7 @@ flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -95,6 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, _cmd_eval)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves a parser as it found it."""
+    return build_parser()
 
 
 def _load_json(path: str):
@@ -190,9 +197,8 @@ def _cmd_eval(args) -> int:
 # an overflow is reported by the check that sees it, not also as a NumPy warning
 @np.errstate(over="ignore")
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -7,6 +7,7 @@ significant digits, no whitespace.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -23,8 +24,36 @@ def canonical_dumps(obj) -> str:
     return "".join(parts)
 
 
+class _FloatArray(list):
+    """The nested lists of a float array's entries, carrying the array.
+
+    It equals, and ``json.dumps`` writes, the plain nested lists;
+    ``canonical_dumps`` formats the array in one call instead.  The lists
+    are a snapshot taken at construction, not a view.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        super().__init__(array.tolist())
+        self.array = array
+
+
+@functools.lru_cache(maxsize=32)
+def _template(shape: tuple[int, ...]) -> str:
+    """A ``%`` template that writes an array of this shape as nested lists."""
+    text = "%.17g"
+    for size in reversed(shape):
+        text = "[" + ",".join([text] * size) + "]"
+    return text
+
+
 def _emit(obj, parts: list[str]) -> None:
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, _FloatArray):
+        if not np.isfinite(obj.array).all():
+            raise InputError("non-finite float in JSON payload")
+        parts.append(_template(obj.array.shape) % tuple(obj.array.ravel().tolist()))
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         parts.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
@@ -61,10 +90,12 @@ def _emit(obj, parts: list[str]) -> None:
 
 def matrix_to_json(m) -> dict:
     a = as_matrix(m)
+    data = np.stack([a.real, a.imag], -1)
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "data": np.stack([a.real, a.imag], -1).tolist(),
+        # an empty matrix has no entries for a template to carry
+        "data": _FloatArray(data) if data.size else data.tolist(),
     }
 
 

@@ -17,6 +17,17 @@ from .numfield import InputError, NumericalError, as_matrix, frob, tolerances
 from .star_algebra import StarAlgebra
 
 
+# below this, frob's sum of squares loses precision or underflows to 0
+_SQUARES_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
+
+
+def _scaled_frob(c: np.ndarray) -> float:
+    """Frobenius norm, taken of ``|c|`` divided by its largest entry."""
+    moduli = np.abs(c)
+    peak = moduli.max(initial=0.0)
+    return peak * frob(moduli / peak) if peak > 0.0 else 0.0
+
+
 class LaurentOp:
     """Finitely supported map exponent -> square matrix coefficient.
 
@@ -45,6 +56,10 @@ class LaurentOp:
         if not math.isfinite(peak):
             raise InputError("coefficient norm overflows")
         threshold = tolerances().trim * peak
+        if threshold < _SQUARES_UNDERFLOW:
+            # a norm this small may have lost its squares to underflow
+            norms = {e: _scaled_frob(c) for e, c in cleaned.items()}
+            threshold = tolerances().trim * max(norms.values(), default=0.0)
         self.coeffs = {
             e: cleaned[e] for e in sorted(cleaned) if norms[e] > threshold
         }

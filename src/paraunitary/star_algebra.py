@@ -140,8 +140,10 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
     the residual that pass the rank cutoff.  The first round that keeps
     nothing ends the loop and is its certificate: V then contains 1 and S
     and is closed under left multiplication by S, so it holds every word
-    in the g and g^*, which is the unital *-closure.  Every other round
-    adds at least one dimension, so at most n^2 rounds run.
+    in the g and g^*, which is the unital *-closure.  So is a span of all
+    n^2 directions, which is M_n: the loop stops there without a round.
+    Every other round adds at least one dimension, so at most n^2 rounds
+    run.
 
     The cutoff is relative to the scale of the products (at least 1),
     never to the residual's own largest singular value, which may be
@@ -158,14 +160,14 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
             raise InputError("generators must be n x n")
     span = _seed_span(n, gens)
     seed = added = span.reshape(-1, n, n)
-    for _ in range(n * n):
+    while len(span) < n * n:
         products = np.einsum("aij,bjk->abik", seed, added).reshape(-1, n * n)
         scale = max(1.0, frob(products))
         for _ in range(2):
             products = products - (products @ span.conj().T) @ span
         kept = orthonormal_basis(products.T, scale).frame.T
         if not len(kept):
-            return StarAlgebra(n, gens, span.reshape(-1, n, n))
+            break
         # the kept singular values are the row norms of U^H R = Sigma W^H
         weakest = np.linalg.norm(kept.conj() @ products.T, axis=1).min()
         if weakest * tolerances().rank <= np.finfo(float).eps * scale:
@@ -175,7 +177,7 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
             )
         span = np.vstack([span, kept])
         added = kept.reshape(-1, n, n)
-    raise NumericalError("algebra closure failed to stabilize")
+    return StarAlgebra(n, gens, span.reshape(-1, n, n))
 
 
 def commutant(a: StarAlgebra) -> StarAlgebra:

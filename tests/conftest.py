@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -174,3 +175,50 @@ def oracle_lattice_op(x, y, combine):
     m, n = min(x.lo, y.lo), max(x.hi, y.hi)
     wx, wy = oracle_window(x, m, n), oracle_window(y, m, n)
     return kron_peel(Window(x.algebra, m, n - m, combine(wx.space, wy.space)))
+
+
+# Reference emitter.  ``jsonio.canonical_dumps`` formats a matrix's data in
+# one ``%`` call; this is the recursive emitter it replaced, one call a
+# value, against which its bytes are checked.
+
+
+def oracle_canonical_dumps(obj) -> str:
+    parts: list[str] = []
+    _oracle_emit(obj, parts)
+    return "".join(parts)
+
+
+def _oracle_emit(obj, parts: list[str]) -> None:
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if not np.isfinite(v):
+            raise InputError("non-finite float in JSON payload")
+        parts.append(format(v, ".17g"))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise InputError("JSON object keys must be strings")
+            if i:
+                parts.append(",")
+            parts.append(json.dumps(key))
+            parts.append(":")
+            _oracle_emit(obj[key], parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                parts.append(",")
+            _oracle_emit(item, parts)
+        parts.append("]")
+    else:
+        raise InputError(f"cannot serialize {type(obj).__name__}")

@@ -314,6 +314,39 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     assert sum(map(len, flags.values())) == 32
 
 
+def _calls_across_commands(files):
+    """One argv per subcommand, with a usage error and help requests in between."""
+    alg, el, t = files["alg.json"], files["el.json"], files["t.json"]
+    return [
+        ["factor", alg, el],
+        ["lattice", "meet", alg, el, t],
+        ["factor", alg, el, "--seed", "1"],
+        ["verify", alg, "--checks", "order_unit", "--samples", "3", "--seed", "2"],
+        ["-h"],
+        ["random", alg, "--factors", "2", "--seed", "5"],
+        ["lattice", "-h"],
+        ["commutant", alg],
+        ["lattice", "leq", alg, el, t, "--tol-eq", "1e-7"],
+        ["eval", t, "--z", "-1"],
+        ["frobnicate"],
+        ["lattice", "join", alg, el, t],
+    ]
+
+
+def test_reused_parser_answers_like_a_fresh_one(files, capsys):
+    calls = _calls_across_commands(files)
+    fresh = []
+    for argv in calls:
+        cli._shared_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    # verify on three samples is inconclusive, so it exits 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 2, 0]
+    assert cli._shared_parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_huge_coefficient_is_an_input_error(tmp_path):
     # 1e200 is a finite entry, but its Frobenius norm overflows; eval
     # used to print the zero matrix and exit 0
@@ -329,6 +362,17 @@ def test_huge_coefficient_is_an_input_error(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert json.loads(proc.stderr) == {"error": "coefficient norm overflows", "kind": "input"}
+
+
+def test_tiny_coefficient_survives_eval(capsys, tmp_path):
+    # the squares of 1e-300 underflow; eval used to print the zero matrix
+    element = tmp_path / "tiny.json"
+    element.write_text(json.dumps({"dim": 1, "coeffs": {
+        "0": {"rows": 1, "cols": 1, "data": [[[1e-300, 0]]]},
+    }}))
+    code, out, err = run_cli(capsys, "eval", str(element))
+    assert code == 0 and err == ""
+    assert out == '{"cols":1,"data":[[[1e-300,0]]],"rows":1}\n'
 
 
 def test_factor_checks_its_reconstruction_residual(files, capsys, monkeypatch):
