@@ -29,7 +29,6 @@ from .numfield import (
     InputError,
     NumericalError,
     Tolerances,
-    frob,
     tolerance_scope,
     tolerances,
 )
@@ -131,7 +130,7 @@ def _cmd_factor(args) -> int:
     peeled = factor_positive(element)
     result = FactorList(shift, peeled.factors)
     residual_op = result.assemble(algebra).op - op
-    residual = max((frob(c) for c in residual_op.coeffs.values()), default=0.0)
+    residual = float(residual_op.norms.max(initial=0.0))
     if residual > tolerances().eq:
         raise NumericalError(f"reconstruction residual {residual:.3e} exceeds tolerance")
     _emit(factor_list_to_json(result), args.out)

@@ -9,7 +9,10 @@ identity.
 
 from __future__ import annotations
 
+import bisect
 import math
+import types
+from typing import NoReturn
 
 import numpy as np
 
@@ -17,52 +20,108 @@ from .numfield import InputError, NumericalError, as_matrix, frob, tolerances
 from .star_algebra import StarAlgebra
 
 
-# below this, frob's sum of squares loses precision or underflows to 0
+# below this, a sum of squares loses precision or underflows to 0
 _SQUARES_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 
 
-def _scaled_frob(c: np.ndarray) -> float:
-    """Frobenius norm, taken of ``|c|`` divided by its largest entry."""
-    moduli = np.abs(c)
-    peak = moduli.max(initial=0.0)
-    return peak * frob(moduli / peak) if peak > 0.0 else 0.0
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a ``(t, n, n)`` stack."""
+    return np.linalg.norm(stack, axis=(1, 2))
+
+
+def _scaled_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms, each taken of ``|c|`` divided by its largest entry."""
+    moduli = np.abs(stack)
+    peaks = moduli.max(axis=(1, 2), initial=0.0)
+    return peaks * _norms(moduli / np.where(peaks > 0.0, peaks, 1.0)[:, None, None])
+
+
+def _trim(exponents: tuple, stack: np.ndarray):
+    """Drop the coefficients with norm at or below ``trim`` times the largest.
+
+    Returns the surviving exponents, their stack and their norms.
+    """
+    norms = _norms(stack)
+    peak = norms.max(initial=0.0)
+    if not math.isfinite(peak):
+        raise InputError("coefficient norm overflows")
+    threshold = tolerances().trim * peak
+    if threshold < _SQUARES_UNDERFLOW:
+        # a norm this small may have lost its squares to underflow
+        norms = _scaled_norms(stack)
+        threshold = tolerances().trim * norms.max(initial=0.0)
+    keep = norms > threshold
+    if keep.all():
+        return exponents, stack, norms
+    kept = tuple([e for e, k in zip(exponents, keep.tolist()) if k])
+    return kept, stack[keep], norms[keep]
+
+
+def _reject(dim: int, coeffs) -> NoReturn:
+    """Raise the error of the first malformed coefficient, in the order given.
+
+    Only a dict that failed the stacked checks comes here, so the loop
+    runs only to name the coefficient at fault.
+    """
+    seen = set()
+    for e, c in coeffs.items():
+        if as_matrix(c).shape != (dim, dim):
+            raise InputError("coefficient of wrong shape")
+        if int(e) in seen:
+            raise InputError("duplicate exponent")
+        seen.add(int(e))
+    raise InputError("malformed coefficients")
 
 
 class LaurentOp:
     """Finitely supported map exponent -> square matrix coefficient.
 
-    Coefficients with Frobenius norm at or below ``trim`` times the
-    largest coefficient norm are dropped at construction, so the degree
-    bounds ``lo``/``hi`` are always recomputed from surviving terms.
-    The zero element keeps ``lo == hi == 0`` by convention.
+    Held as the sorted exponents (Python integers of any size), the
+    read-only ``(t, n, n)`` stack of their coefficients and the ``t``
+    coefficient norms.  Building an element from a dict, a sum or a
+    product drops the coefficients with Frobenius norm at or below
+    ``trim`` times the largest, so the degree bounds ``lo``/``hi`` always
+    come from surviving terms.  ``star``, ``shifted`` and negation keep
+    every norm, so they reuse the stack's norms and trim nothing.  The
+    zero element keeps ``lo == hi == 0`` by convention.
     """
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ("dim", "exponents", "stack", "norms")
 
     def __init__(self, dim: int, coeffs):
-        self.dim = int(dim)
-        cleaned = {}
-        norms = {}
-        for e, c in coeffs.items():
-            c = as_matrix(c)
-            if c.shape != (self.dim, self.dim):
-                raise InputError("coefficient of wrong shape")
-            e = int(e)
-            if e in cleaned:
-                raise InputError("duplicate exponent")
-            cleaned[e] = c
-            norms[e] = frob(c)
-        peak = max(norms.values(), default=0.0)
-        if not math.isfinite(peak):
-            raise InputError("coefficient norm overflows")
-        threshold = tolerances().trim * peak
-        if threshold < _SQUARES_UNDERFLOW:
-            # a norm this small may have lost its squares to underflow
-            norms = {e: _scaled_frob(c) for e, c in cleaned.items()}
-            threshold = tolerances().trim * max(norms.values(), default=0.0)
-        self.coeffs = {
-            e: cleaned[e] for e in sorted(cleaned) if norms[e] > threshold
-        }
+        dim = int(dim)
+        try:
+            exponents = [int(e) for e in coeffs]
+            stack = np.array(list(coeffs.values()), dtype=np.complex128)
+        except (TypeError, ValueError):
+            _reject(dim, coeffs)
+        if not exponents:
+            stack = stack.reshape(0, dim, dim)
+        if (
+            stack.shape != (len(exponents), dim, dim)
+            or len(set(exponents)) < len(exponents)
+            or not np.isfinite(stack).all()
+        ):
+            _reject(dim, coeffs)
+        order = sorted(range(len(exponents)), key=exponents.__getitem__)
+        self._set(dim, *_trim(tuple([exponents[i] for i in order]), stack[order]))
+
+    def _set(self, dim: int, exponents: tuple, stack: np.ndarray, norms: np.ndarray) -> None:
+        stack.flags.writeable = False
+        self.dim = dim
+        self.exponents = exponents
+        self.stack = stack
+        self.norms = norms
+
+    @classmethod
+    def _make(cls, dim: int, exponents: tuple, stack: np.ndarray, norms=None) -> "LaurentOp":
+        """From sorted distinct exponents and their stack; without ``norms``, trimmed."""
+        op = object.__new__(cls)
+        if norms is None:
+            op._set(dim, *_trim(exponents, stack))
+        else:
+            op._set(dim, exponents, stack, norms)
+        return op
 
     @classmethod
     def zero(cls, dim: int) -> "LaurentOp":
@@ -77,23 +136,31 @@ class LaurentOp:
         return cls(dim, {int(k): np.eye(dim)})
 
     @property
+    def coeffs(self) -> types.MappingProxyType:
+        """Read-only map exponent -> coefficient, in exponent order."""
+        return types.MappingProxyType(dict(zip(self.exponents, self.stack)))
+
+    @property
     def lo(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
+        return self.exponents[0] if self.exponents else 0
 
     @property
     def hi(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
+        return self.exponents[-1] if self.exponents else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.exponents
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
+        return self.exponents
 
     def coeff(self, e: int) -> np.ndarray:
-        c = self.coeffs.get(int(e))
-        return c.copy() if c is not None else np.zeros((self.dim, self.dim), dtype=np.complex128)
+        e = int(e)
+        i = bisect.bisect_left(self.exponents, e)
+        if i < len(self.exponents) and self.exponents[i] == e:
+            return self.stack[i].copy()
+        return np.zeros((self.dim, self.dim), dtype=np.complex128)
 
     def _binary_check(self, other: "LaurentOp") -> None:
         if not isinstance(other, LaurentOp):
@@ -103,13 +170,10 @@ class LaurentOp:
 
     def __add__(self, other: "LaurentOp") -> "LaurentOp":
         self._binary_check(other)
-        acc = {e: c.copy() for e, c in self.coeffs.items()}
-        for e, c in other.coeffs.items():
-            acc[e] = acc[e] + c if e in acc else c
-        return LaurentOp(self.dim, acc)
+        return _summed(self.dim, (self.exponents, self.stack), (other.exponents, other.stack))
 
     def __neg__(self) -> "LaurentOp":
-        return LaurentOp(self.dim, {e: -c for e, c in self.coeffs.items()})
+        return LaurentOp._make(self.dim, self.exponents, -self.stack, self.norms)
 
     def __sub__(self, other: "LaurentOp") -> "LaurentOp":
         return self + (-other)
@@ -117,26 +181,48 @@ class LaurentOp:
     def __mul__(self, other: "LaurentOp") -> "LaurentOp":
         """Cauchy convolution of the coefficient maps."""
         self._binary_check(other)
-        return LaurentOp(self.dim, _convolve(self.coeffs, other.coeffs))
+        return LaurentOp._make(self.dim, *_convolve(self, other))
+
+    def times_elementary(self, proj: np.ndarray, power: int, on_left: bool = False) -> "LaurentOp":
+        """self p^power, or with ``on_left`` p^power self, p = t proj + (1 - proj).
+
+        ``proj`` must be an orthogonal projection, so p^power = t^power proj
+        + (1 - proj) for every integer power.  Its two coefficients are
+        trimmed as a dict-built p's are, so a projector within rounding of
+        1 leaves no 1 - proj term, and each multiplies the whole stack in
+        one batched product.
+        """
+        terms = np.stack([np.eye(self.dim) - proj, proj])
+        shifts, terms, _ = _trim((0, int(power)), terms)
+        return _summed(
+            self.dim,
+            *[
+                (_shift(self.exponents, k), c @ self.stack if on_left else self.stack @ c)
+                for k, c in zip(shifts, terms)
+            ],
+        )
 
     def shifted(self, k: int) -> "LaurentOp":
-        return LaurentOp(self.dim, {e + int(k): c for e, c in self.coeffs.items()})
+        return LaurentOp._make(self.dim, _shift(self.exponents, k), self.stack, self.norms)
 
     def star(self) -> "LaurentOp":
-        return LaurentOp(self.dim, {-e: c.conj().T for e, c in self.coeffs.items()})
+        return LaurentOp._make(
+            self.dim,
+            tuple([-e for e in reversed(self.exponents)]),
+            self.stack[::-1].conj().swapaxes(1, 2),
+            self.norms[::-1],
+        )
 
     def eval_at(self, z: complex) -> np.ndarray:
         z = complex(z)
         if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
             raise InputError("evaluation point must lie on the unit circle")
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for e, c in self.coeffs.items():
-            out += (z ** e) * c
-        return out
+        powers = np.array([z ** e for e in self.exponents], dtype=np.complex128)
+        return np.tensordot(powers, self.stack, axes=1)
 
     def norm(self) -> float:
-        """l2 norm over coefficients: sqrt of the summed squared Frobenius norms."""
-        return math.sqrt(sum(frob(c) ** 2 for c in self.coeffs.values()))
+        """l2 norm over coefficients, from the stored norms without squaring them."""
+        return math.hypot(*self.norms.tolist())
 
     def distance(self, other: "LaurentOp") -> float:
         """Relative coefficientwise distance, scaled by max(1, norms)."""
@@ -149,35 +235,55 @@ class LaurentOp:
         return f"LaurentOp(dim={self.dim}, support={list(self.support())})"
 
 
-def _convolve(a: dict, b: dict) -> dict:
-    """Untrimmed Cauchy product of two coefficient maps, keyed by exponent."""
-    acc: dict[int, np.ndarray] = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            e = i + j
-            prod = x @ y
-            acc[e] = acc[e] + prod if e in acc else prod
-    return acc
+def _shift(exponents: tuple, k: int) -> tuple:
+    """The exponents plus ``k``.
+
+    Exponent tuples are built from lists: a tuple filled from an iterator
+    of unknown length is resized as it grows, and on the peel's path that
+    made the peak resident memory creep up with every call.
+    """
+    k = int(k)
+    return tuple([e + k for e in exponents])
+
+
+def _summed(dim: int, *parts: tuple) -> LaurentOp:
+    """Trimmed sum of ``(exponents, stack)`` parts, each with distinct exponents."""
+    exponents = tuple(sorted({e for exps, _ in parts for e in exps}))
+    row = {e: i for i, e in enumerate(exponents)}
+    out = np.zeros((len(exponents), dim, dim), dtype=np.complex128)
+    for exps, stack in parts:
+        out[[row[e] for e in exps]] += stack
+    return LaurentOp._make(dim, exponents, out)
+
+
+def _convolve(a: LaurentOp, b: LaurentOp) -> tuple[tuple, np.ndarray]:
+    """Untrimmed Cauchy product: sorted exponents and their coefficient stack."""
+    exponents = tuple(sorted({i + j for i in a.exponents for j in b.exponents}))
+    out = np.zeros((len(exponents), a.dim, a.dim), dtype=np.complex128)
+    rows = dict(zip(exponents, out))  # views into out
+    for i, x in zip(a.exponents, a.stack):
+        for j, y in zip(b.exponents, b.stack):
+            rows[i + j] += x @ y
+    return exponents, out
 
 
 def _product_residual(op: LaurentOp) -> float:
     """||op* op - 1|| over the coefficients of the untrimmed product."""
-    adjoint = {-e: c.conj().T for e, c in op.coeffs.items()}
-    acc = _convolve(adjoint, op.coeffs)
-    one = np.eye(op.dim)
-    total = sum(frob(c - one if e == 0 else c) ** 2 for e, c in acc.items())
-    return math.sqrt(total if 0 in acc else total + op.dim)
+    exponents, acc = _convolve(op.star(), op)
+    if 0 not in exponents:
+        return math.hypot(frob(acc), math.sqrt(op.dim))
+    acc[exponents.index(0)] -= np.eye(op.dim)
+    return frob(acc)
 
 
 def _circle_residual(op: LaurentOp, points: int) -> float:
     """Root mean square of ||F(z)^H F(z) - 1||_F over the points-th roots of unity."""
     # exponents relative to lo fit in int64 even when lo does not
-    offsets = [e - op.lo for e in op.coeffs]
+    offsets = [e - op.lo for e in op.exponents]
     # reducing the phase mod points keeps every angle in [0, 2 pi)
     turns = np.outer(np.arange(points), offsets) % points
     dft = np.exp((2j * np.pi / points) * turns)
-    stack = np.stack(list(op.coeffs.values())).reshape(len(offsets), -1)
-    values = (dft @ stack).reshape(points, op.dim, op.dim)
+    values = (dft @ op.stack.reshape(len(offsets), -1)).reshape(points, op.dim, op.dim)
     gram = values.conj().swapaxes(1, 2) @ values
     return frob(gram - np.eye(op.dim)) / math.sqrt(points)
 
@@ -212,7 +318,7 @@ def paraunitarity_residual(op: LaurentOp) -> float:
     threshold that ``LaurentOp`` construction would drop.
     """
     points = 2 * (op.hi - op.lo) + 1
-    if points <= len(op.coeffs) ** 2:
+    if points <= len(op.exponents) ** 2:
         residual = _circle_residual(op, points)
     else:
         residual = _product_residual(op)
@@ -224,9 +330,7 @@ def is_paraunitary(op: LaurentOp) -> bool:
 
 
 def purity_residual(op: LaurentOp) -> float:
-    total = np.zeros((op.dim, op.dim), dtype=np.complex128)
-    for c in op.coeffs.values():
-        total += c
+    total = op.stack.sum(axis=0)
     return frob(total - np.eye(op.dim)) / max(1.0, frob(total))
 
 
@@ -255,12 +359,8 @@ class PpuElement:
             raise InputError("expected a LaurentOp")
         if op.dim != algebra.dim:
             raise InputError("element and algebra dimensions differ")
-        membership = max(
-            (algebra.membership_residual(c) for c in op.coeffs.values()),
-            default=0.0,
-        )
         residuals = {
-            "membership": membership,
+            "membership": algebra.membership_residual(op.stack),
             "paraunitarity": paraunitarity_residual(op),
             "purity": purity_residual(op),
         }
@@ -313,4 +413,5 @@ def twist_alpha(el: PpuElement, z: complex) -> LaurentOp:
     z = complex(z)
     if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
         raise InputError("twist point must lie on the unit circle")
-    return LaurentOp(el.op.dim, {e: (z ** (-e)) * c for e, c in el.op.coeffs.items()})
+    powers = np.array([z ** (-e) for e in el.op.exponents], dtype=np.complex128)
+    return LaurentOp._make(el.op.dim, el.op.exponents, el.op.stack * powers[:, None, None])

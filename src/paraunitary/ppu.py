@@ -11,13 +11,13 @@ elements by ``p_s``, ``s`` the intersection of their heads (or tails),
 until ``s`` is zero is the greedy gcd of Garside theory.  The gcd of two
 elements is their meet (and, through ``phi^-1 t^k``, their join); the
 gcd of an element with itself peels it into degree-one factors.  Every
-rank decision is on an ``n x n`` matrix, whatever the degree.
+rank decision is on the stacked constant coefficients, at most
+``2n x n``, whatever the degree.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .numfield import (
     NumericalError,
     Subspace,
     kernel,
-    meet_subspace,
     zero_subspace,
 )
 from .star_algebra import (
@@ -65,35 +64,30 @@ def gamma_inverse(el: PpuElement) -> InvariantSubspace:
     return factors[0] if factors else certify_member(el.algebra, zero_subspace(el.op.dim))
 
 
-def _head(op: LaurentOp, right: bool = False) -> Subspace:
-    """Head ker(op_0^H) of a positive element, or with ``right`` its tail ker(op_0).
-
-    p_M^-1 op has t^-1 coefficient pi_M op_0, which vanishes iff M lies in
-    ker(op_0^H); op p_M^-1 has op_0 pi_M, which vanishes iff M lies in
-    ker(op_0).  op_0 is in the algebra, so both kernels are in X(A').
-    """
-    c0 = op.coeff(0)
-    return kernel(c0 if right else c0.conj().T)
-
-
 def _peel(
     ops: list[LaurentOp], algebra: StarAlgebra, right: bool = False
 ) -> tuple[list[InvariantSubspace], list[LaurentOp]]:
     """Greedy gcd of positive elements, left by heads or ``right`` by tails.
 
     Each step divides every operand by p_s, s the intersection of their
-    heads (tails); the gcd is the product of the p_s in the order peeled
-    (for the right gcd, from the right).  A step lowers the determinant
-    degree of every operand by dim s >= 1, not necessarily the top
-    exponent, so at most n * min(hi) steps run.  The peel ends when s is
-    zero or an operand has top exponent 0 (a pure positive constant is
-    the identity), and every remainder must then lie in the positive
-    cone.  Returns the peeled members and the remainders.
+    heads ker(x_0^H) (tails ker(x_0)): p_M^-1 x has t^-1 coefficient
+    pi_M x_0, which vanishes iff M lies in ker(x_0^H), and x p_M^-1 has
+    x_0 pi_M, which vanishes iff M lies in ker(x_0).  So s is the kernel
+    of the stacked [x_0^H; y_0^H] ([x_0; y_0]), one SVD, and it is in
+    X(A') since every x_0 is in the algebra.  The gcd is the product of
+    the p_s in the order peeled (for the right gcd, from the right).  A
+    step lowers the determinant degree of every operand by dim s >= 1,
+    not necessarily the top exponent, so at most n * min(hi) steps run.
+    The peel ends when s is zero or an operand has top exponent 0 (a pure
+    positive constant is the identity), and every remainder must then
+    lie in the positive cone.  Returns the peeled members and the
+    remainders.
     """
     cap = algebra.dim * min(op.hi for op in ops)
     peeled: list[InvariantSubspace] = []
     while min(op.hi for op in ops) > 0:
-        s = functools.reduce(meet_subspace, [_head(op, right) for op in ops])
+        constants = [op.coeff(0) if right else op.coeff(0).conj().T for op in ops]
+        s = kernel(np.concatenate(constants))
         if s.dim == 0:
             break
         if len(peeled) == cap:
@@ -102,8 +96,8 @@ def _peel(
             member = certify_member(algebra, s)
         except InputError as exc:
             raise NumericalError(f"divisor {len(peeled) + 1} failed certification") from exc
-        inv = _elementary(s, -1)
-        ops = [op * inv if right else inv * op for op in ops]
+        proj = s.projector()
+        ops = [op.times_elementary(proj, -1, on_left=not right) for op in ops]
         if min(op.lo for op in ops) < 0:
             raise NumericalError(f"negative exponent after divisor {len(peeled) + 1}")
         peeled.append(member)
@@ -133,7 +127,7 @@ class FactorList:
     def assemble(self, algebra: StarAlgebra) -> PpuElement:
         op = LaurentOp.t_power(algebra.dim, -self.shift)
         for member in self.factors:
-            op = op * _elementary(member.subspace)
+            op = op.times_elementary(member.subspace.projector(), 1)
         return PpuElement(op, algebra)
 
 
@@ -178,7 +172,7 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
     members, _ = _peel([a.op.star().shifted(k), b.op.star().shifted(k)], algebra, right=True)
     op = LaurentOp.t_power(algebra.dim, k)
     for member in members:
-        op = op * _elementary(member.subspace, -1)
+        op = op.times_elementary(member.subspace.projector(), -1)
     return PpuElement(op, algebra)
 
 
@@ -198,5 +192,5 @@ def random_ppu(algebra: StarAlgebra, k: int, shift: int, seed: int) -> PpuElemen
     op = LaurentOp.identity(algebra.dim)
     for i in range(k):
         member = random_projection_in(algebra, derive_seed(seed, i))
-        op = op * _elementary(member.subspace)
+        op = op.times_elementary(member.subspace.projector(), 1)
     return PpuElement(op.shifted(-int(shift)), algebra)

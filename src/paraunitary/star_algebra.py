@@ -18,7 +18,6 @@ from .numfield import (
     NumericalError,
     Subspace,
     as_matrix,
-    columns_outside,
     frob,
     join_subspace,
     kernel,
@@ -69,14 +68,28 @@ class StarAlgebra:
     def linear_dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def stack(self) -> np.ndarray:
+        """The basis as one ``(linear_dim, n, n)`` array."""
+        return self._vec.reshape(-1, self.dim, self.dim)
+
     def membership_residual(self, x) -> float:
-        """||x - pi(x)||_F / max(1, ||x||_F), pi the orthogonal projection onto the algebra."""
-        x = as_matrix(x)
-        if x.shape != (self.dim, self.dim):
+        """Largest ||x - pi(x)||_F / max(1, ||x||_F) over a matrix or a stack of them.
+
+        pi is the orthogonal projection onto the algebra.  A ``(t, n, n)``
+        stack is projected in one product; an empty one gives 0.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        if x.ndim not in (2, 3) or x.shape[-2:] != (self.dim, self.dim):
             raise InputError("dimension mismatch")
-        coefficients = self._vec.conj() @ x.reshape(-1)
-        projection = (coefficients @ self._vec).reshape(self.dim, self.dim)
-        return frob(x - projection) / max(1.0, frob(x))
+        if not np.isfinite(x).all():
+            raise InputError("matrix has non-finite entries")
+        flat = x.reshape(-1, self.dim * self.dim)
+        projection = (flat @ self._vec.conj().T) @ self._vec
+        residuals = np.linalg.norm(flat - projection, axis=1) / np.maximum(
+            1.0, np.linalg.norm(flat, axis=1)
+        )
+        return float(residuals.max(initial=0.0))
 
     def contains(self, x) -> bool:
         return self.membership_residual(x) <= tolerances().eq
@@ -90,22 +103,13 @@ class StarAlgebra:
     def same_span(self, other: "StarAlgebra") -> bool:
         if self.dim != other.dim or self.linear_dim != other.linear_dim:
             return False
-        return all(other.contains(b) for b in self.basis)
+        return other.membership_residual(self.stack) <= tolerances().eq
 
     def require_same(self, other: "StarAlgebra") -> "StarAlgebra":
         """This algebra if ``other`` spans the same one, else ``InputError``."""
         if self is other or self.same_span(other):
             return self
         raise InputError("operands belong to different algebras")
-
-    def closure_residual(self) -> float:
-        """Worst membership residual over pairwise products and adjoints."""
-        worst = 0.0
-        for a in self.basis:
-            worst = max(worst, self.membership_residual(a.conj().T))
-            for b in self.basis:
-                worst = max(worst, self.membership_residual(a @ b))
-        return worst
 
     def hermitian_sample(self, rng: np.random.Generator) -> np.ndarray:
         """Random self-adjoint element (Gaussian coefficients on the basis)."""
@@ -228,11 +232,16 @@ def is_member_XAprime(a: StarAlgebra, s: Subspace) -> bool:
         raise InputError("ambient dimension mismatch")
     proj_residual = a.membership_residual(s.projector())
     by_projector = proj_residual <= tolerances().eq
-    # worst relative ||(I - pi_s) c f||_F / max(1, ||c f||_F), f the frame
-    moved = (c @ s.frame for c in a.commutant.basis) if s.dim > 0 else ()
-    inv_residual = max(
-        (columns_outside(m, s) / max(1.0, frob(m)) for m in moved), default=0.0
-    )
+    # worst relative ||(I - pi_s) c f||_F / max(1, ||c f||_F), f the frame,
+    # over the commutant basis c, in one stacked product
+    inv_residual = 0.0
+    if s.dim > 0:
+        moved = a.commutant.stack @ s.frame
+        outside = moved - s.frame @ (s.frame.conj().T @ moved)
+        ratios = np.linalg.norm(outside, axis=(1, 2)) / np.maximum(
+            1.0, np.linalg.norm(moved, axis=(1, 2))
+        )
+        inv_residual = float(ratios.max())
     by_invariance = inv_residual <= tolerances().eq
     if by_projector != by_invariance:
         raise NumericalError(

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,15 @@ import pytest
 
 import paraunitary as pu
 from paraunitary.laurent import LaurentOp
-from paraunitary.numfield import InputError, columns_outside, frob, kernel
+from paraunitary.numfield import (
+    InputError,
+    as_matrix,
+    columns_outside,
+    frob,
+    kernel,
+    meet_subspace,
+    tolerances,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,6 +110,15 @@ def random_algebra(n, seed):
     return block_algebra(sizes, seed)
 
 
+def closure_residual(a):
+    """Worst membership residual over the basis's adjoints and pairwise products."""
+    basis = a.stack
+    worst = a.membership_residual(basis.conj().swapaxes(1, 2))
+    for x in basis:
+        worst = max(worst, a.membership_residual(x @ basis))
+    return worst
+
+
 # Reference window oracles.  The invariant subspace an element generates
 # from the negative-exponent tail space, truncated to the exponents (m, n],
 # is an ordinary subspace of C^(n w), w = n - m; the divisibility order is
@@ -175,6 +194,126 @@ def oracle_lattice_op(x, y, combine):
     m, n = min(x.lo, y.lo), max(x.hi, y.hi)
     wx, wy = oracle_window(x, m, n), oracle_window(y, m, n)
     return kron_peel(Window(x.algebra, m, n - m, combine(wx.space, wy.space)))
+
+
+# Reference Laurent arithmetic.  ``LaurentOp`` holds one coefficient stack,
+# trims it in one pass and divides by an elementary factor with one batched
+# product; ``ppu._peel`` takes each common head as one kernel.  These are the
+# code they replaced: an exponent -> matrix dict validated and measured one
+# coefficient at a time, the pair-loop product with explicit elementary
+# factors, and the common head as the meet of the heads, three SVDs.
+
+_SQUARES_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
+
+
+def _reference_scaled_frob(c):
+    moduli = np.abs(c)
+    peak = moduli.max(initial=0.0)
+    return peak * frob(moduli / peak) if peak > 0.0 else 0.0
+
+
+class ReferenceLaurent:
+    """Exponent -> coefficient dict, validated and trimmed per coefficient."""
+
+    def __init__(self, dim, coeffs):
+        self.dim = int(dim)
+        cleaned, norms = {}, {}
+        for e, c in coeffs.items():
+            c = as_matrix(c)
+            if c.shape != (self.dim, self.dim):
+                raise InputError("coefficient of wrong shape")
+            e = int(e)
+            if e in cleaned:
+                raise InputError("duplicate exponent")
+            cleaned[e] = c
+            norms[e] = frob(c)
+        peak = max(norms.values(), default=0.0)
+        if not math.isfinite(peak):
+            raise InputError("coefficient norm overflows")
+        threshold = tolerances().trim * peak
+        if threshold < _SQUARES_UNDERFLOW:
+            norms = {e: _reference_scaled_frob(c) for e, c in cleaned.items()}
+            threshold = tolerances().trim * max(norms.values(), default=0.0)
+        self.coeffs = {e: cleaned[e] for e in sorted(cleaned) if norms[e] > threshold}
+
+    @classmethod
+    def of(cls, op):
+        return cls(op.dim, dict(op.coeffs))
+
+    @property
+    def hi(self):
+        return max(self.coeffs, default=0)
+
+    def coeff(self, e):
+        return self.coeffs.get(e, np.zeros((self.dim, self.dim), dtype=complex))
+
+    def __mul__(self, other):
+        acc = {}
+        for i, x in self.coeffs.items():
+            for j, y in other.coeffs.items():
+                prod = x @ y
+                acc[i + j] = acc[i + j] + prod if i + j in acc else prod
+        return ReferenceLaurent(self.dim, acc)
+
+    def star(self):
+        return ReferenceLaurent(self.dim, {-e: c.conj().T for e, c in self.coeffs.items()})
+
+    def shifted(self, k):
+        return ReferenceLaurent(self.dim, {e + k: c for e, c in self.coeffs.items()})
+
+    def to_op(self):
+        return LaurentOp(self.dim, self.coeffs)
+
+
+def reference_elementary(s, power=1):
+    proj = s.projector()
+    return ReferenceLaurent(s.ambient_dim, {power: proj, 0: np.eye(s.ambient_dim) - proj})
+
+
+def reference_peel(ops, right=False):
+    """Divisors of the greedy gcd by heads (``right``: tails), each the meet of the operands' own."""
+    peeled = []
+    for _ in range(ops[0].dim * min(op.hi for op in ops)):
+        if min(op.hi for op in ops) <= 0:
+            break
+        heads = [kernel(op.coeff(0) if right else op.coeff(0).conj().T) for op in ops]
+        s = functools.reduce(meet_subspace, heads)
+        if s.dim == 0:
+            break
+        inv = reference_elementary(s, -1)
+        ops = [op * inv if right else inv * op for op in ops]
+        peeled.append(s)
+    return peeled
+
+
+def reference_meet(a, b):
+    m = min(a.lo, b.lo)
+    ops = [ReferenceLaurent.of(x.op).shifted(-m) for x in (a, b)]
+    out = ReferenceLaurent(a.op.dim, {m: np.eye(a.op.dim)})
+    for s in reference_peel(ops):
+        out = out * reference_elementary(s)
+    return out.to_op()
+
+
+def reference_join(a, b):
+    k = max(a.hi, b.hi)
+    ops = [ReferenceLaurent.of(x.op).star().shifted(k) for x in (a, b)]
+    out = ReferenceLaurent(a.op.dim, {k: np.eye(a.op.dim)})
+    for s in reference_peel(ops, right=True):
+        out = out * reference_elementary(s, -1)
+    return out.to_op()
+
+
+def reference_factors(el):
+    return reference_peel([ReferenceLaurent.of(el.op)])
+
+
+def reference_random_ppu(algebra, k, shift, seed):
+    out = ReferenceLaurent(algebra.dim, {0: np.eye(algebra.dim)})
+    for i in range(k):
+        member = pu.random_projection_in(algebra, pu.derive_seed(seed, i))
+        out = out * reference_elementary(member.subspace)
+    return out.shifted(-shift).to_op()
 
 
 # Reference emitter.  ``jsonio.canonical_dumps`` formats a matrix's data in

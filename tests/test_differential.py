@@ -1,0 +1,153 @@
+"""The stacked ``LaurentOp`` and the one-kernel peel against the reference
+implementations in ``conftest`` (dict per coefficient, pair-loop products
+with explicit elementary factors, heads met by three SVDs)."""
+
+import numpy as np
+import pytest
+
+import paraunitary as pu
+from paraunitary.laurent import LaurentOp
+from paraunitary.numfield import InputError, subspace_residual
+
+from conftest import (
+    ReferenceLaurent,
+    rand_matrix,
+    random_algebra,
+    reference_factors,
+    reference_join,
+    reference_meet,
+    reference_random_ppu,
+)
+
+SCALES = [1.0, 1e-300, 1e-163, 1e200]
+DIMS = [1, 2, 4, 7]
+
+
+def big_shift(rng):
+    """A random shift of magnitude up to 1e30, beyond int64."""
+    return int(rng.integers(-(10**6), 10**6)) * 10**24
+
+
+def random_coeffs(rng, n, scale):
+    """Up to 8 terms spread over 12 decades, some below the trim, at an offset up to 1e30."""
+    t = int(rng.integers(1, 9))
+    offset = big_shift(rng)
+    exps = rng.choice(40, size=t, replace=False) - 20
+    mags = 10.0 ** rng.uniform(-12.0, 0.0, size=t)
+    return {offset + int(e): scale * m * rand_matrix(rng, n, n) for e, m in zip(exps, mags)}
+
+
+def built(build, *args):
+    """The element, or the message of the ``InputError`` raised instead."""
+    try:
+        with np.errstate(over="ignore", under="ignore"):
+            return build(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def assert_same(op, ref):
+    assert isinstance(op, LaurentOp) and isinstance(ref, ReferenceLaurent)
+    assert op.support() == tuple(ref.coeffs)
+    for e, c in ref.coeffs.items():
+        # entrywise, so a 1e-300 coefficient is compared without squaring it
+        assert np.abs(op.coeff(e) - c).max() <= 1e-12 * np.abs(c).max()
+
+
+def cases():
+    for n in DIMS:
+        for scale in SCALES:
+            for draw in range(3):
+                yield pytest.param(n, scale, draw, id=f"n{n}-{scale:g}-{draw}")
+
+
+@pytest.mark.parametrize("n, scale, draw", cases())
+def test_construction_and_products_match_the_reference(n, scale, draw):
+    rng = np.random.default_rng([n, draw, 61])
+    a, b = random_coeffs(rng, n, scale), random_coeffs(rng, n, scale)
+    op_a, ref_a = built(LaurentOp, n, a), built(ReferenceLaurent, n, a)
+    op_b, ref_b = built(LaurentOp, n, b), built(ReferenceLaurent, n, b)
+    for op, ref in ((op_a, ref_a), (op_b, ref_b)):
+        if isinstance(ref, str):
+            assert op == ref
+        else:
+            assert_same(op, ref)
+    if isinstance(ref_a, str) or isinstance(ref_b, str):
+        return
+    with np.errstate(under="ignore"):
+        assert_same(op_a * op_b, ref_a * ref_b)
+        assert_same(op_b * op_a.star(), ref_b * ref_a.star())
+    k = big_shift(rng)
+    assert_same(op_a.shifted(k), ref_a.shifted(k))
+    assert_same(op_a.star(), ref_a.star())
+
+
+@pytest.mark.parametrize("n, scale, draw", cases())
+def test_star_and_shifted_keep_the_norms(n, scale, draw):
+    rng = np.random.default_rng([n, draw, 62])
+    op = built(LaurentOp, n, random_coeffs(rng, n, scale))
+    if isinstance(op, str):
+        assert op == "coefficient norm overflows"
+        return
+    k = big_shift(rng)
+    assert np.array_equal(op.star().norms, op.norms[::-1])
+    assert np.array_equal(op.shifted(k).norms, op.norms)
+    assert np.array_equal((-op).norms, op.norms)
+    assert op.star().norm() == op.norm() == op.shifted(k).norm()
+    # the kept norms are the norms of the coefficients, as a fresh build finds them
+    fresh = LaurentOp(n, dict(op.star().coeffs))
+    assert fresh.support() == op.star().support()
+    np.testing.assert_allclose(fresh.norms, op.star().norms, rtol=1e-14)
+
+
+def lattice_cases():
+    for n in DIMS:
+        for draw in range(3):
+            yield pytest.param(n, draw, id=f"n{n}-{draw}")
+
+
+@pytest.mark.parametrize("n, draw", lattice_cases())
+def test_lattice_operations_match_the_reference(n, draw):
+    rng = np.random.default_rng([n, draw, 63])
+    a = random_algebra(n, 100 * n + draw)
+    eq = pu.tolerances().eq
+    offset = [0, 10**30, -(10**30)][draw]
+    ks = [int(k) for k in rng.integers(1, 9, size=2)]
+    shifts = [offset + int(s) for s in rng.integers(-3, 4, size=2)]
+    seeds = [int(s) for s in rng.integers(0, 10**6, size=2)]
+    x, y = (pu.random_ppu(a, k, s, seed) for k, s, seed in zip(ks, shifts, seeds))
+    for el, k, s, seed in zip((x, y), ks, shifts, seeds):
+        assert el.op.distance(reference_random_ppu(a, k, s, seed)) <= eq
+    assert pu.meet(x, y).op.distance(reference_meet(x, y)) <= eq
+    assert pu.join(x, y).op.distance(reference_join(x, y)) <= eq
+    positive = pu.random_ppu(a, ks[0], 0, seeds[0])
+    factors = pu.factor_positive(positive).factors
+    expected = reference_factors(positive)
+    assert len(factors) == len(expected)
+    for got, want in zip(factors, expected):
+        assert subspace_residual(got.subspace, want) <= eq
+
+
+NAN = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ({0: np.eye(2), 1: np.eye(3)}, "coefficient of wrong shape"),
+        ({0: np.ones(2)}, "expected a 2-d matrix"),
+        ({"0": np.eye(2), "00": np.eye(2)}, "duplicate exponent"),
+        ({0: np.eye(2), 1: NAN}, "matrix has non-finite entries"),
+        ({0: [[np.inf, 0.0], [0.0, 1.0]]}, "matrix has non-finite entries"),
+        ({0: 1e200 * np.eye(2)}, "coefficient norm overflows"),
+        # the first coefficient at fault names the error
+        ({0: NAN, 1: np.eye(3)}, "matrix has non-finite entries"),
+        ({0: np.eye(3), 1: NAN}, "coefficient of wrong shape"),
+        ({"1": np.eye(2), "01": NAN}, "matrix has non-finite entries"),
+        ({"1": np.eye(2), "01": np.eye(2), 2: NAN}, "duplicate exponent"),
+    ],
+)
+def test_input_errors_match_the_reference(coeffs, message):
+    assert built(LaurentOp, 2, coeffs) == built(ReferenceLaurent, 2, coeffs)
+    with pytest.raises(InputError, match=message), np.errstate(over="ignore"):
+        LaurentOp(2, coeffs)

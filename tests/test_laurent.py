@@ -238,6 +238,21 @@ class TestTwist:
                 pu.twist_alpha(el, z)
 
 
+@pytest.mark.parametrize("on_left", [False, True], ids=["right", "left"])
+def test_elementary_factor_is_trimmed_before_it_multiplies(on_left):
+    # a full projector from a random frame leaves 1 - pi at rounding size;
+    # p = t pi + (1 - pi) drops it as a dict-built p would, so it adds
+    # nothing to the coefficients that pi moves onto
+    rng = np.random.default_rng(5)
+    frame = np.linalg.qr(rand_matrix(rng, 3, 3))[0]
+    proj = frame @ frame.conj().T
+    assert 0.0 < np.abs(np.eye(3) - proj).max() < 1e-14
+    op = LaurentOp(3, {e: rand_matrix(rng, 3, 3) for e in range(4)})
+    out = op.times_elementary(proj, 1, on_left=on_left)
+    assert out.support() == (1, 2, 3, 4)
+    assert np.array_equal(out.stack, proj @ op.stack if on_left else op.stack @ proj)
+
+
 def test_trim_drops_dust_relative_to_peak():
     big = np.eye(2)
     dust = 1e-13 * np.eye(2)
@@ -270,6 +285,16 @@ def test_coefficients_whose_squares_underflow_are_kept():
     # a peak of 1e-155 has a norm, but a term at 1e-163 above its trim does not
     assert LaurentOp(1, {0: [[1e-155]], 1: [[1e-163]]}).support() == (0, 1)
     assert LaurentOp(2, {0: np.zeros((2, 2))}).is_zero
+
+
+def test_norm_does_not_square_tiny_coefficients():
+    # the squares of 1e-300 are 0: the norm read 0.0 for a kept term
+    assert LaurentOp(1, {0: [[1e-300]]}).norm() == 1e-300
+    assert LaurentOp(1, {0: [[3e-300]], 5: [[4e-300j]]}).norm() == pytest.approx(5e-300)
+    # a 1e-163 term beside a 1e-155 peak is kept, and counts in the norm
+    op = LaurentOp(2, {0: 1e-155 * np.eye(2), 1: 1e-163 * np.eye(2)})
+    assert op.support() == (0, 1)
+    assert op.norm() == pytest.approx(np.sqrt(2) * np.hypot(1e-155, 1e-163), rel=1e-15)
 
 
 def reference_residual(op):

@@ -18,6 +18,7 @@ from paraunitary.star_algebra import _seed_span, oml_complement, oml_join, oml_m
 
 from conftest import (
     block_algebra,
+    closure_residual,
     diag_algebra,
     doubled_algebra,
     full_algebra,
@@ -58,9 +59,9 @@ class TestGenerate:
 
     def test_closure_residuals_are_tiny(self):
         a = full_algebra(3, seed=5)
-        assert a.closure_residual() < 1e-10
+        assert closure_residual(a) < 1e-10
         b = doubled_algebra(2, seed=5)
-        assert b.closure_residual() < 1e-10
+        assert closure_residual(b) < 1e-10
 
 
 def reference_closure(n, gens):
@@ -166,7 +167,7 @@ class TestClosureAgainstReference:
         reference = reference_closure(n, gens)
         assert a.linear_dim == reference.linear_dim
         assert a.same_span(reference)
-        assert a.closure_residual() <= 1e-10
+        assert closure_residual(a) <= 1e-10
         c = pu.commutant(a)
         reference_c = basis_commutant(reference)
         assert c.linear_dim == reference_c.linear_dim
@@ -181,7 +182,7 @@ class TestClosureAgainstReference:
         assert a.linear_dim == n
         for b in a.basis:
             assert np.linalg.norm(b - np.diag(np.diag(b))) <= eq
-        assert a.closure_residual() <= eq
+        assert closure_residual(a) <= eq
 
     def test_noise_sized_direction_is_a_numerical_error(self):
         # the third direction leaves span{1, g} by 7.5e-8 of its products, so
@@ -321,6 +322,17 @@ class TestMembership:
     def test_certify_rejects_non_member(self):
         with pytest.raises(InputError):
             pu.certify_member(diag_algebra(2), pu.orthonormal_basis(np.array([[1.0], [1.0]])))
+
+    def test_stack_residual_is_the_worst_matrix(self):
+        a = diag_algebra(2)
+        tilted = pu.orthonormal_basis(np.array([[1.0], [1.0]])).projector()
+        stack = np.stack([np.eye(2), np.diag([2.0, 3.0]), 3.0 * tilted])
+        per_matrix = [a.membership_residual(m) for m in stack]
+        assert max(per_matrix[:2]) < 1e-14 and per_matrix[2] > 0.1
+        assert a.membership_residual(stack) == pytest.approx(per_matrix[2], rel=1e-14)
+        assert a.membership_residual(stack[:0]) == 0.0
+        with pytest.raises(InputError, match="dimension mismatch"):
+            a.membership_residual(np.zeros((2, 3, 3)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
