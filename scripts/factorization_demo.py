@@ -33,7 +33,7 @@ def main():
                            shift=int(rng.integers(0, 3)),
                            seed=pu.derive_seed(args.seed, i))
         shift = max(0, -el.lo)
-        normalized = pu.PpuElement(el.op.shifted(shift), algebra)
+        normalized = el.shifted(shift)
         factors = pu.factor_positive(normalized)
         rebuilt = pu.FactorList(shift, factors.factors).assemble(algebra)
         residual = (rebuilt.op - el.op).norm()

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import ppu
 from .jsonio import laurent_to_json, subspace_to_json
-from .laurent import LaurentOp, PpuElement, ppu_t_power
+from .laurent import LaurentOp, PpuElement, ppu_identity, ppu_t_power
 from .numfield import InputError, frob, subspace_residual, tolerances
 from .reporting import CheckReport, derive_seed
 from .star_algebra import (
@@ -137,7 +137,7 @@ def check_gamma_oml(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckR
     laws through these images.
     """
     report = CheckReport("gamma_oml", samples, seed)
-    one = ppu.ppu_identity(a)
+    one = ppu_identity(a)
     t_el = ppu_t_power(a, 1)
     for i in range(samples):
         m = random_projection_in(a, derive_seed(seed, i, 0))

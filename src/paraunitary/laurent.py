@@ -10,6 +10,7 @@ identity.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 import types
 from typing import NoReturn
@@ -73,6 +74,10 @@ def _reject(dim: int, coeffs) -> NoReturn:
     raise InputError("malformed coefficients")
 
 
+def _immutable(self, *args) -> NoReturn:
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class LaurentOp:
     """Finitely supported map exponent -> square matrix coefficient.
 
@@ -83,10 +88,13 @@ class LaurentOp:
     ``trim`` times the largest, so the degree bounds ``lo``/``hi`` always
     come from surviving terms.  ``star``, ``shifted`` and negation keep
     every norm, so they reuse the stack's norms and trim nothing.  The
-    zero element keeps ``lo == hi == 0`` by convention.
+    zero element keeps ``lo == hi == 0`` by convention.  An element is
+    immutable: its attributes cannot be reassigned and its arrays are
+    read-only.
     """
 
     __slots__ = ("dim", "exponents", "stack", "norms")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, coeffs):
         dim = int(dim)
@@ -108,10 +116,11 @@ class LaurentOp:
 
     def _set(self, dim: int, exponents: tuple, stack: np.ndarray, norms: np.ndarray) -> None:
         stack.flags.writeable = False
-        self.dim = dim
-        self.exponents = exponents
-        self.stack = stack
-        self.norms = norms
+        norms.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "norms", norms)
 
     @classmethod
     def _make(cls, dim: int, exponents: tuple, stack: np.ndarray, norms=None) -> "LaurentOp":
@@ -217,8 +226,7 @@ class LaurentOp:
         z = complex(z)
         if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
             raise InputError("evaluation point must lie on the unit circle")
-        powers = np.array([z ** e for e in self.exponents], dtype=np.complex128)
-        return np.tensordot(powers, self.stack, axes=1)
+        return np.tensordot(_powers(z, self.exponents), self.stack, axes=1)
 
     def norm(self) -> float:
         """l2 norm over coefficients, from the stored norms without squaring them."""
@@ -244,6 +252,25 @@ def _shift(exponents: tuple, k: int) -> tuple:
     """
     k = int(k)
     return tuple([e + k for e in exponents])
+
+
+def _powers(z: complex, exponents) -> np.ndarray:
+    """``z ** e`` for each exponent, exactly 1 at ``z = 1``.
+
+    The phase of any other ``z`` is known only to about ulp(arg z), and
+    ``z ** e`` multiplies that error by ``|e|``: beyond ``|e| = eq /
+    ulp(arg z)`` the value is rounding noise.  Such an exponent, like a
+    power that overflows, is a ``NumericalError``.
+    """
+    if z == 1:
+        return np.ones(len(exponents), dtype=np.complex128)
+    horizon = tolerances().eq / math.ulp(abs(cmath.phase(z)))
+    if any(abs(e) > horizon for e in exponents):
+        raise NumericalError(f"z ** e is rounding noise beyond |e| = {horizon:.3g}")
+    try:
+        return np.array([z ** e for e in exponents], dtype=np.complex128)
+    except OverflowError as exc:
+        raise NumericalError("z ** e overflows") from exc
 
 
 def _summed(dim: int, *parts: tuple) -> LaurentOp:
@@ -338,9 +365,16 @@ def is_pure(op: LaurentOp) -> bool:
     return is_paraunitary(op) and purity_residual(op) <= tolerances().eq
 
 
-def in_positive_cone(op: LaurentOp) -> bool:
-    """Pure paraunitary with only non-negative exponents after trimming."""
-    return op.lo >= 0 and is_pure(op)
+def in_positive_cone(x: LaurentOp | PpuElement) -> bool:
+    """Pure paraunitary with only non-negative exponents after trimming.
+
+    A ``PpuElement`` is decided from ``lo`` and its stored residuals,
+    against the active ``eq``, as a fresh test of its ``op`` would be.
+    """
+    if isinstance(x, PpuElement):
+        eq = tolerances().eq
+        return x.lo >= 0 and x.residuals["paraunitarity"] <= eq and x.residuals["purity"] <= eq
+    return x.lo >= 0 and is_pure(x)
 
 
 class PpuElement:
@@ -348,29 +382,37 @@ class PpuElement:
 
     Construction validates eagerly: every coefficient must lie in the
     algebra, the element must be paraunitary, and its coefficients must
-    sum to the identity.  The certifying residuals are kept for
-    diagnostics.
+    sum to the identity.  The certifying residuals are kept, read-only,
+    and are the element's certificate: ``shifted`` and
+    ``in_positive_cone`` reuse them instead of certifying again, and
+    compare them against the ``eq`` active at the reuse.  An element is
+    immutable.
     """
 
     __slots__ = ("op", "algebra", "residuals")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, op: LaurentOp, algebra: StarAlgebra):
         if not isinstance(op, LaurentOp):
             raise InputError("expected a LaurentOp")
         if op.dim != algebra.dim:
             raise InputError("element and algebra dimensions differ")
-        residuals = {
+        self._hold(op, algebra, types.MappingProxyType({
             "membership": algebra.membership_residual(op.stack),
             "paraunitarity": paraunitarity_residual(op),
             "purity": purity_residual(op),
-        }
+        }))
+
+    def _hold(self, op: LaurentOp, algebra: StarAlgebra, residuals) -> "PpuElement":
+        """Keep ``op`` if every residual is within the active ``eq``, else raise."""
         eq = tolerances().eq
         for name, value in residuals.items():
             if value > eq:
                 raise NumericalError(f"{name} residual {value:.3e} exceeds tolerance")
-        self.op = op
-        self.algebra = algebra
-        self.residuals = residuals
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "residuals", residuals)
+        return self
 
     @property
     def lo(self) -> int:
@@ -379,6 +421,15 @@ class PpuElement:
     @property
     def hi(self) -> int:
         return self.op.hi
+
+    def shifted(self, k: int) -> "PpuElement":
+        """t^k self, certified by this element's residuals.
+
+        A shift keeps the coefficient stack and every exponent's offset
+        from ``lo``, so membership, purity and the unit-circle residual
+        are bitwise the numbers a fresh certification would compute.
+        """
+        return object.__new__(PpuElement)._hold(self.op.shifted(k), self.algebra, self.residuals)
 
     def __mul__(self, other: "PpuElement") -> "PpuElement":
         self.algebra.require_same(other.algebra)
@@ -395,11 +446,14 @@ class PpuElement:
 
 
 def ppu_identity(algebra: StarAlgebra) -> PpuElement:
-    return PpuElement(LaurentOp.identity(algebra.dim), algebra)
+    return ppu_t_power(algebra, 0)
 
 
 def ppu_t_power(algebra: StarAlgebra, k: int = 1) -> PpuElement:
-    return PpuElement(LaurentOp.t_power(algebra.dim, k), algebra)
+    """t^k: the algebra's identity, certified once per algebra, shifted."""
+    if algebra._identity is None:
+        algebra._identity = PpuElement(LaurentOp.identity(algebra.dim), algebra)
+    return algebra._identity.shifted(k)
 
 
 def twist_alpha(el: PpuElement, z: complex) -> LaurentOp:
@@ -413,5 +467,5 @@ def twist_alpha(el: PpuElement, z: complex) -> LaurentOp:
     z = complex(z)
     if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
         raise InputError("twist point must lie on the unit circle")
-    powers = np.array([z ** (-e) for e in el.op.exponents], dtype=np.complex128)
+    powers = _powers(z, [-e for e in el.op.exponents])
     return LaurentOp._make(el.op.dim, el.op.exponents, el.op.stack * powers[:, None, None])

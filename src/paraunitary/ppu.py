@@ -25,7 +25,6 @@ from .laurent import (
     LaurentOp,
     PpuElement,
     in_positive_cone,
-    ppu_identity,
     ppu_t_power,
 )
 from .numfield import (
@@ -58,14 +57,14 @@ def p_of(member: InvariantSubspace) -> PpuElement:
 def gamma_inverse(el: PpuElement) -> InvariantSubspace:
     """Recover M from an elementary factor (any divisor of t is one)."""
     t_el = ppu_t_power(el.algebra, 1)
-    if not (in_positive_cone(el.op) and leq(el, t_el)):
+    if not (in_positive_cone(el) and leq(el, t_el)):
         raise InputError("element is not between the identity and t")
     factors = factor_positive(el).factors
     return factors[0] if factors else certify_member(el.algebra, zero_subspace(el.op.dim))
 
 
 def _peel(
-    ops: list[LaurentOp], algebra: StarAlgebra, right: bool = False
+    operands: list[LaurentOp | PpuElement], algebra: StarAlgebra, right: bool = False
 ) -> tuple[list[InvariantSubspace], list[LaurentOp]]:
     """Greedy gcd of positive elements, left by heads or ``right`` by tails.
 
@@ -80,9 +79,11 @@ def _peel(
     not necessarily the top exponent, so at most n * min(hi) steps run.
     The peel ends when s is zero or an operand has top exponent 0 (a pure
     positive constant is the identity), and every remainder must then
-    lie in the positive cone.  Returns the peeled members and the
-    remainders.
+    lie in the positive cone.  A certified operand that no step divided
+    passes that test on its certificate.  Returns the peeled members and
+    the remainders.
     """
+    ops = [x.op if isinstance(x, PpuElement) else x for x in operands]
     cap = algebra.dim * min(op.hi for op in ops)
     peeled: list[InvariantSubspace] = []
     while min(op.hi for op in ops) > 0:
@@ -101,7 +102,7 @@ def _peel(
         if min(op.lo for op in ops) < 0:
             raise NumericalError(f"negative exponent after divisor {len(peeled) + 1}")
         peeled.append(member)
-    if not all(in_positive_cone(op) for op in ops):
+    if not all(in_positive_cone(x) for x in (ops if peeled else operands)):
         raise NumericalError("greedy peel left a remainder outside the positive cone")
     return peeled, ops
 
@@ -119,10 +120,16 @@ def order_unit_exponent(el: PpuElement) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class FactorList:
-    """Ordered elementary factorization t^-shift * p_1 * ... * p_k."""
+    """Ordered elementary factorization t^-shift * p_1 * ... * p_k.
+
+    ``factor_positive`` reassembles the product p_1 * ... * p_k to check
+    its answer, and keeps that certified product as ``assembled``; a
+    list built otherwise has ``None`` there.
+    """
 
     shift: int
     factors: tuple[InvariantSubspace, ...]
+    assembled: PpuElement | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def assemble(self, algebra: StarAlgebra) -> PpuElement:
         op = LaurentOp.t_power(algebra.dim, -self.shift)
@@ -139,24 +146,25 @@ def factor_positive(el: PpuElement) -> FactorList:
     count equals the top exponent, and a head split over two steps shows
     up as one factor too many.
     """
-    if not in_positive_cone(el.op):
+    if not in_positive_cone(el):
         raise InputError("element is not in the positive cone")
-    members, (rest,) = _peel([el.op], el.algebra)
+    members, (rest,) = _peel([el], el.algebra)
     if len(members) != el.hi:
         raise NumericalError(f"{len(members)} factors for top exponent {el.hi}")
     if not rest.close_to(LaurentOp.identity(el.op.dim)):
         raise NumericalError("factorization left a non-identity remainder")
-    result = FactorList(0, tuple(members))
-    if not result.assemble(el.algebra).op.close_to(el.op):
+    members = tuple(members)
+    assembled = FactorList(0, members).assemble(el.algebra)
+    if not assembled.op.close_to(el.op):
         raise NumericalError("reassembled factorization does not match the input")
-    return result
+    return FactorList(0, members, assembled)
 
 
 def meet(a: PpuElement, b: PpuElement) -> PpuElement:
     """Greatest lower bound: t^m times the left gcd of t^-m a and t^-m b."""
     algebra = a.algebra.require_same(b.algebra)
     m = min(a.lo, b.lo)
-    members, _ = _peel([a.op.shifted(-m), b.op.shifted(-m)], algebra)
+    members, _ = _peel([a.shifted(-m), b.shifted(-m)], algebra)
     return FactorList(-m, tuple(members)).assemble(algebra)
 
 
@@ -177,12 +185,17 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
 
 
 def complement_in_t(el: PpuElement) -> PpuElement:
-    """Orthocomplementation of the interval [1, t]: el -> el^-1 t."""
-    one = ppu_identity(el.algebra)
-    t_el = ppu_t_power(el.algebra, 1)
-    if not (leq(one, el) and leq(el, t_el)):
+    """Orthocomplementation of the interval [1, t]: el -> el^-1 t.
+
+    el^-1 t is the involution shifted by one.  Certified once, it is both
+    the answer and, in the positive cone, the witness of el <= t.
+    """
+    if not in_positive_cone(el):
         raise InputError("element is outside the interval [1, t]")
-    return PpuElement(el.op.star() * t_el.op, el.algebra)
+    complement = PpuElement(el.op.star().shifted(1), el.algebra)
+    if not in_positive_cone(complement):
+        raise InputError("element is outside the interval [1, t]")
+    return complement
 
 
 def random_ppu(algebra: StarAlgebra, k: int, shift: int, seed: int) -> PpuElement:

@@ -63,6 +63,8 @@ class StarAlgebra:
         if self.membership_residual(np.eye(self.dim)) > tolerances().eq:
             raise InputError("identity is not in the span of the basis")
         self._commutant = None
+        # the certified identity group element, kept by laurent.ppu_t_power
+        self._identity = None
 
     @property
     def linear_dim(self) -> int:

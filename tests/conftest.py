@@ -3,12 +3,16 @@ import functools
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import paraunitary as pu
+from paraunitary import laurent
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import (
     InputError,
@@ -32,11 +36,40 @@ def load_module(relpath):
     return module
 
 
+def run_python(*args):
+    """Run ``python args`` in a subprocess that imports the package from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.fixture(autouse=True)
 def _default_tolerances_stay_active():
     """A test that leaves a tolerance override active fails at its teardown."""
     yield
     assert pu.tolerances() == pu.Tolerances()
+
+
+@pytest.fixture
+def certifications(monkeypatch):
+    """The operators whose paraunitarity residual is computed, in order.
+
+    Every certification, fresh ``PpuElement`` or cone test of a bare
+    ``LaurentOp``, computes one.
+    """
+    seen = []
+    residual = laurent.paraunitarity_residual
+
+    def counted(op):
+        seen.append(op)
+        return residual(op)
+
+    monkeypatch.setattr(laurent, "paraunitarity_residual", counted)
+    return seen
 
 
 def rand_matrix(rng, rows, cols):
@@ -108,6 +141,31 @@ def random_algebra(n, seed):
         sizes.append(s)
         remaining -= s
     return block_algebra(sizes, seed)
+
+
+def each_algebra_kind():
+    """One small algebra of each kind above, by name."""
+    return {
+        "scalar:2": scalar_algebra(2),
+        "diag:3": diag_algebra(3),
+        "full:2": full_algebra(2, seed=3),
+        "blocks:1+2": block_algebra([1, 2], seed=3),
+        "doubled:2": doubled_algebra(2, seed=3),
+    }
+
+
+def certified_samples(a):
+    """Group elements of ``a`` inside and outside the positive cone.
+
+    The last has span 12 over two terms, so its residual takes the
+    Cauchy product rather than the unit circle.
+    """
+    proj = pu.random_projection_in(a, 5).subspace.projector()
+    wide = pu.PpuElement(LaurentOp(a.dim, {11: proj, 0: np.eye(a.dim) - proj}), a)
+    return [
+        pu.random_ppu(a, k, shift, seed)
+        for k, shift, seed in ((0, 0, 1), (1, 0, 2), (3, 1, 3), (4, -1, 4))
+    ] + [wide]
 
 
 def closure_residual(a):

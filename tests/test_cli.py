@@ -1,7 +1,5 @@
 import argparse
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from paraunitary.cli import main
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import full_subspace
 
-from conftest import diag_algebra, load_module
+from conftest import diag_algebra, load_module, run_python
 
 
 @pytest.fixture
@@ -355,13 +353,34 @@ def test_huge_coefficient_is_an_input_error(tmp_path):
         "0": {"rows": 1, "cols": 1, "data": [[[1e200, 0.0]]]},
         "1": {"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]},
     }}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "paraunitary", "eval", str(element), "--z", "1"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "paraunitary", "eval", str(element), "--z", "1")
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert json.loads(proc.stderr) == {"error": "coefficient norm overflows", "kind": "input"}
+
+
+@pytest.mark.parametrize("exponent", [10**30, -10**30])
+def test_eval_beyond_the_exponent_horizon_is_a_numerical_error(capsys, tmp_path, exponent):
+    element = tmp_path / "far.json"
+    element.write_text(json.dumps({"dim": 1, "coeffs": {
+        str(exponent): {"rows": 1, "cols": 1, "data": [[[1, 0]]]},
+    }}))
+    code, out, err = run_cli(capsys, "eval", str(element), "--z", "1")
+    assert (code, out, err) == (0, '{"cols":1,"data":[[[1,0]]],"rows":1}\n', "")
+    # 1.000000001 ** 1e30 overflows; 0.999999999 ** -1e30 too
+    z = "1.000000001" if exponent > 0 else "0.999999999"
+    for point in (z, "1j", "(0.6+0.8j)"):
+        code, out, err = run_cli(capsys, "eval", str(element), "--z", point)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "numerical"
+
+
+def test_factor_certifies_each_element_once(files, capsys, certifications):
+    # the input, the peel's remainder and the reassembled product, which
+    # also gives the reconstruction residual
+    code, _, err = run_cli(capsys, "factor", files["alg.json"], files["el.json"])
+    assert code == 0 and json.loads(err) == {"reconstruction_residual": 0}
+    assert len(certifications) == 3
 
 
 def test_tiny_coefficient_survives_eval(capsys, tmp_path):
@@ -435,19 +454,13 @@ def test_malformed_payload_is_an_input_error(files, capsys, tmp_path, command, p
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "paraunitary", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "paraunitary", "--help")
     assert proc.returncode == 0
     assert "factor" in proc.stdout
 
 
 def test_unknown_subcommand_exits_two():
-    proc = subprocess.run(
-        [sys.executable, "-m", "paraunitary", "frobnicate"],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "paraunitary", "frobnicate")
     assert proc.returncode == 2
 
 

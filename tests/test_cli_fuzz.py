@@ -36,18 +36,32 @@ def _matrices(draw, n):
     return {"rows": n, "cols": n, "data": draw(st.lists(row, min_size=n, max_size=n))}
 
 
+def _exponents(low, high, far):
+    # hypothesis leans to the first entry of sampled_from, and +1e30 is
+    # the exponent whose power overflows at z = 1.000000001
+    small = st.integers(low, high)
+    return small | st.sampled_from([10**30, -10**30]) if far else small
+
+
 @st.composite
-def _elements(draw, n):
-    """t^a P + t^b (1 - P) for a diagonal projection P, or arbitrary coefficients."""
+def _elements(draw, n, far=False):
+    """t^a P + t^b (1 - P) for a diagonal projection P, or arbitrary coefficients.
+
+    With ``far``, exponents may also be +-1e30.
+    """
     if draw(st.booleans()):
         bits = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
-        a, b = draw(st.integers(-1, 2)), draw(st.integers(-1, 2))
+        a, b = draw(_exponents(-1, 2, far)), draw(_exponents(-1, 2, far))
         if a == b:
             return {"dim": n, "coeffs": {str(a): _diagonal([1.0] * n)}}
         return {"dim": n, "coeffs": {str(a): _diagonal(bits),
                                      str(b): _diagonal([1.0 - v for v in bits])}}
-    exponents = draw(st.lists(st.integers(-2, 3), max_size=3, unique=True))
+    exponents = draw(st.lists(_exponents(-2, 3, far), max_size=3, unique=True))
     return {"dim": n, "coeffs": {str(e): draw(_matrices(n)) for e in exponents}}
+
+
+def _far_elements(n):
+    return _elements(n, far=True)
 
 
 @st.composite
@@ -81,9 +95,12 @@ def _files(draw, payloads, n):
 def _invocations(draw, command):
     """argv with {alg}, {a} and {b} placeholders, and the text of each file."""
     n = draw(DIMS)
+    # far exponents only where no peel runs: factor, meet and join take a
+    # step per unit of degree
+    elements = _far_elements if command == "eval" else _elements
     texts = {"alg": draw(_files(_algebras, n)),
-             "a": draw(_files(_elements, n)),
-             "b": draw(_files(_elements, n))}
+             "a": draw(_files(elements, n)),
+             "b": draw(_files(elements, n))}
     if command == "factor":
         argv = ["factor", "{alg}", "{a}"]
     elif command in ("meet", "join", "leq"):
@@ -97,7 +114,8 @@ def _invocations(draw, command):
     elif command == "commutant":
         argv = ["commutant", "{alg}"]
     else:
-        z = draw(st.sampled_from(["1", "-1", "1j", "(0.6+0.8j)", "0.5", "nan", "x"]))
+        z = draw(st.sampled_from(
+            ["1", "-1", "1j", "(0.6+0.8j)", "1.000000001", "0.5", "nan", "x"]))
         argv = ["eval", "{a}", "--z", z]
     return argv, texts
 

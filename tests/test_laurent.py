@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -10,7 +11,13 @@ from paraunitary import laurent
 from paraunitary.laurent import LaurentOp, paraunitarity_residual
 from paraunitary.numfield import InputError, NumericalError, mat_residual, tolerance_scope
 
-from conftest import diag_algebra, full_algebra, rand_matrix
+from conftest import (
+    certified_samples,
+    diag_algebra,
+    each_algebra_kind,
+    full_algebra,
+    rand_matrix,
+)
 
 P1 = np.diag([1.0, 0.0])
 P2 = np.diag([0.0, 1.0])
@@ -111,6 +118,29 @@ class TestEval:
         assert mat_residual((a * b).eval_at(z), a.eval_at(z) @ b.eval_at(z)) < 1e-12
         assert mat_residual(a.star().eval_at(z), a.eval_at(z).conj().T) < 1e-12
 
+    def test_one_is_exact_at_any_exponent(self):
+        for e in (10**6, -10**30, 10**400):
+            assert LaurentOp(1, {e: np.eye(1)}).eval_at(1)[0, 0] == 1.0
+
+    def test_value_within_the_horizon_is_the_power(self):
+        for z in (1j, -1 + 0j, 0.6 + 0.8j, 1.000000001 + 0j):
+            for e in (-10**6, 10**6):
+                assert LaurentOp(1, {e: np.eye(1)}).eval_at(z)[0, 0] == z**e
+
+    def test_exponent_past_the_horizon_is_a_numerical_error(self):
+        # arg z is known to an ulp, about 2e-16 at 1j: |e| 1e30 leaves no digit
+        for z in (1j, -1, 0.6 + 0.8j):
+            with pytest.raises(NumericalError, match="rounding noise"):
+                LaurentOp(1, {10**30: np.eye(1)}).eval_at(z)
+        with tolerance_scope(eq=1e-12):
+            with pytest.raises(NumericalError, match="rounding noise"):
+                LaurentOp(1, {10**6: np.eye(1)}).eval_at(1j)
+
+    def test_overflowing_power_is_a_numerical_error(self):
+        for e in (10**30, 10**400):
+            with pytest.raises(NumericalError, match="overflows"):
+                LaurentOp(1, {e: np.eye(1)}).eval_at(1.000000001)
+
 
 class TestPredicates:
     def test_identity_satisfies_all(self):
@@ -197,6 +227,66 @@ class TestPpuElement:
         assert pu.in_positive_cone(one.op) and pu.in_positive_cone(one.op.star())
 
 
+class TestCertificate:
+    @pytest.mark.parametrize("kind", sorted(each_algebra_kind()))
+    def test_cone_test_on_the_certificate_decides_as_on_the_op(self, kind):
+        for el in certified_samples(each_algebra_kind()[kind]):
+            assert pu.in_positive_cone(el) == pu.in_positive_cone(el.op)
+            worst = max(el.residuals["paraunitarity"], el.residuals["purity"])
+            for eq in (worst, math.nextafter(worst, 0.0)):
+                if eq > 0.0:
+                    with tolerance_scope(eq=eq):
+                        assert pu.in_positive_cone(el) == pu.in_positive_cone(el.op)
+
+    def test_reuse_compares_the_certificate_with_the_active_eq(self):
+        a = full_algebra(2, seed=27)
+        el = pu.random_ppu(a, 3, 0, seed=15)
+        worst = max(el.residuals["paraunitarity"], el.residuals["purity"])
+        assert worst > 0.0
+        with tolerance_scope(eq=worst):
+            assert pu.in_positive_cone(el) and pu.in_positive_cone(el.op)
+        with tolerance_scope(eq=math.nextafter(worst, 0.0)):
+            assert not pu.in_positive_cone(el) and not pu.in_positive_cone(el.op)
+            with pytest.raises(NumericalError):
+                pu.PpuElement(el.op.shifted(1), a)
+            with pytest.raises(NumericalError):
+                el.shifted(1)
+
+    @pytest.mark.parametrize("kind", sorted(each_algebra_kind()))
+    def test_shift_carries_the_residuals_of_a_fresh_certification(self, kind):
+        a = each_algebra_kind()[kind]
+        for el in certified_samples(a) + [pu.ppu_identity(a)]:
+            for k in (*range(-3, 4), 10**30):
+                fresh = pu.PpuElement(el.op.shifted(k), a)
+                shifted = el.shifted(k)
+                assert shifted.op.exponents == fresh.op.exponents
+                # residuals are norms, never NaN or -0.0: == is bitwise
+                assert dict(shifted.residuals) == dict(fresh.residuals)
+
+    def test_t_powers_carry_the_residuals_of_a_fresh_certification(self):
+        a = full_algebra(3, seed=28)
+        for k in (-2, 0, 1, 10**30):
+            fresh = pu.PpuElement(LaurentOp.t_power(3, k), a)
+            assert dict(pu.ppu_t_power(a, k).residuals) == dict(fresh.residuals)
+
+    def test_elements_refuse_reassignment(self):
+        el = pu.random_ppu(full_algebra(2, seed=29), 2, 0, seed=16)
+        for obj, attrs in (
+            (el, ("op", "algebra", "residuals")),
+            (el.op, ("dim", "exponents", "stack", "norms")),
+        ):
+            for attr in attrs:
+                with pytest.raises(AttributeError):
+                    setattr(obj, attr, getattr(obj, attr))
+                with pytest.raises(AttributeError):
+                    delattr(obj, attr)
+        with pytest.raises(TypeError):
+            el.residuals["paraunitarity"] = 0.0
+        for array in (el.op.stack, el.op.norms):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
 class TestTwist:
     def test_at_one_is_identity_map(self):
         a = full_algebra(2, seed=24)
@@ -236,6 +326,14 @@ class TestTwist:
         for z in (0.5, complex("nan")):
             with pytest.raises(InputError):
                 pu.twist_alpha(el, z)
+
+    def test_exponent_horizon(self):
+        el = pu.ppu_t_power(diag_algebra(2), 10**30)
+        assert pu.twist_alpha(el, 1).close_to(el.op)
+        with pytest.raises(NumericalError, match="rounding noise"):
+            pu.twist_alpha(el, 1j)
+        with pytest.raises(NumericalError, match="overflows"):
+            pu.twist_alpha(el, 0.999999999)
 
 
 @pytest.mark.parametrize("on_left", [False, True], ids=["right", "left"])

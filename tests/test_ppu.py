@@ -10,12 +10,14 @@ from paraunitary.numfield import (
     kernel,
     mat_residual,
     subspace_residual,
+    tolerance_scope,
 )
 
 from conftest import (
     Window,
     diag_algebra,
     doubled_algebra,
+    each_algebra_kind,
     full_algebra,
     kron_peel,
     kron_stability_residual,
@@ -459,6 +461,74 @@ class TestComplement:
         a = diag_algebra(2)
         with pytest.raises(InputError):
             pu.complement_in_t(pu.ppu_t_power(a, 2))
+
+    @pytest.mark.parametrize("kind", sorted(each_algebra_kind()))
+    def test_equals_the_product_form(self, kind):
+        a = each_algebra_kind()[kind]
+        t_el = pu.ppu_t_power(a, 1)
+        for seed in range(4):
+            el = pu.p_of(pu.random_projection_in(a, seed))
+            got, want = pu.complement_in_t(el).op, el.op.star() * t_el.op
+            assert got.exponents == want.exponents
+            # equal values; a zero may differ in sign, since the product adds +0
+            assert np.array_equal(got.stack, want.stack)
+            # the shift keeps el's norms, the product sums the same squares in
+            # another order
+            np.testing.assert_array_max_ulp(got.norms, want.norms, maxulp=1)
+
+    def test_uncertified_complement_is_a_numerical_error(self):
+        # an eq that el's cone residuals meet and its complement's certificate
+        # does not: the complement fails to certify, where the product form
+        # reported the element outside the interval
+        a = full_algebra(3, seed=83)
+        for seed in range(20):
+            el = pu.p_of(pu.random_projection_in(a, seed))
+            complement = pu.complement_in_t(el)
+            eq = max(el.residuals["paraunitarity"], el.residuals["purity"])
+            if 0.0 < eq < max(complement.residuals.values()):
+                break
+        else:
+            pytest.fail("no sample straddles eq")
+        with tolerance_scope(eq=eq):
+            with pytest.raises(NumericalError):
+                pu.complement_in_t(el)
+
+
+class TestCertifiedOnce:
+    """Exact certification counts: an element already certified is not again."""
+
+    @pytest.fixture
+    def pm(self):
+        """p_M for 0 < M < C^3 in M_3, with the identity already certified."""
+        a = full_algebra(3, seed=84)
+        pu.ppu_identity(a)
+        m = member_of(a, [[1.0], [0.0], [0.0]])
+        return pu.p_of(m), pu.p_of(pu.certify_member(a, pu.ortho_complement(m.subspace)))
+
+    def test_identity_once_per_algebra(self, certifications):
+        a = full_algebra(2, seed=85)
+        for k in (0, 1, -2, 10**30):
+            pu.ppu_t_power(a, k)
+        pu.ppu_identity(a)
+        assert len(certifications) == 1
+
+    def test_complement_certifies_only_its_answer(self, pm, certifications):
+        el, _ = pm
+        pu.complement_in_t(el)
+        assert len(certifications) == 1
+
+    def test_gamma_inverse(self, pm, certifications):
+        # el <= t, the peel's remainder and the reassembled factor
+        el, _ = pm
+        pu.gamma_inverse(el)
+        assert len(certifications) == 3
+
+    def test_meet_without_a_common_head(self, pm, certifications):
+        # no step divides the operands, so only the answer is certified
+        el, complement = pm
+        assert pu.meet(el.shifted(-2), complement.shifted(-2)).close_to(
+            pu.ppu_t_power(el.algebra, -2))
+        assert len(certifications) == 1
 
 
 class TestOrderUnitExponent:

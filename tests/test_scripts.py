@@ -4,25 +4,15 @@ The full axiom suite of ``run_axiom_suite.py`` takes about 16 s, so only
 its algebra family is checked here.
 """
 
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 
-from conftest import ROOT, load_module
+from conftest import ROOT, load_module, run_python
 
 
 def test_factorization_demo_reconstructs_every_element():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "factorization_demo.py")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python(str(ROOT / "scripts" / "factorization_demo.py"))
     assert proc.returncode == 0, proc.stderr
     residuals = [float(r) for r in re.findall(r"residual=(\S+)", proc.stdout)]
     assert len(residuals) == 5  # the default --count
