@@ -273,25 +273,33 @@ def _powers(z: complex, exponents) -> np.ndarray:
         raise NumericalError("z ** e overflows") from exc
 
 
-def _summed(dim: int, *parts: tuple) -> LaurentOp:
-    """Trimmed sum of ``(exponents, stack)`` parts, each with distinct exponents."""
+def _scattered(dim: int, parts) -> tuple[tuple, np.ndarray]:
+    """Untrimmed sum of ``(exponents, stack)`` parts, each with distinct
+    exponents, added in the order the parts come."""
     exponents = tuple(sorted({e for exps, _ in parts for e in exps}))
     row = {e: i for i, e in enumerate(exponents)}
     out = np.zeros((len(exponents), dim, dim), dtype=np.complex128)
     for exps, stack in parts:
         out[[row[e] for e in exps]] += stack
-    return LaurentOp._make(dim, exponents, out)
+    return exponents, out
+
+
+def _summed(dim: int, *parts: tuple) -> LaurentOp:
+    """Trimmed sum of ``(exponents, stack)`` parts, each with distinct exponents."""
+    return LaurentOp._make(dim, *_scattered(dim, parts))
 
 
 def _convolve(a: LaurentOp, b: LaurentOp) -> tuple[tuple, np.ndarray]:
-    """Untrimmed Cauchy product: sorted exponents and their coefficient stack."""
-    exponents = tuple(sorted({i + j for i in a.exponents for j in b.exponents}))
-    out = np.zeros((len(exponents), a.dim, a.dim), dtype=np.complex128)
-    rows = dict(zip(exponents, out))  # views into out
-    for i, x in zip(a.exponents, a.stack):
-        for j, y in zip(b.exponents, b.stack):
-            rows[i + j] += x @ y
-    return exponents, out
+    """Untrimmed Cauchy product: sorted exponents and their coefficient stack.
+
+    One stacked product per term of ``a``: the term times the whole stack
+    of ``b``.  A stacked matmul multiplies each matrix on its own, so every
+    ``A_i B_j`` is the product a single ``n x n`` matmul gives, and the
+    terms of ``a`` are added in ascending exponent, as the pair loop over
+    ``a`` then ``b`` adds them: the sums are bitwise that loop's.
+    """
+    return _scattered(a.dim, [(_shift(b.exponents, i), x @ b.stack)
+                              for i, x in zip(a.exponents, a.stack)])
 
 
 def _product_residual(op: LaurentOp) -> float:
@@ -432,8 +440,8 @@ class PpuElement:
         return object.__new__(PpuElement)._hold(self.op.shifted(k), self.algebra, self.residuals)
 
     def __mul__(self, other: "PpuElement") -> "PpuElement":
-        self.algebra.require_same(other.algebra)
-        return PpuElement(self.op * other.op, self.algebra)
+        algebra = common_algebra(self, other)
+        return PpuElement(self.op * other.op, algebra)
 
     def inverse(self) -> "PpuElement":
         return PpuElement(self.op.star(), self.algebra)
@@ -443,6 +451,13 @@ class PpuElement:
 
     def __repr__(self):
         return f"PpuElement(dim={self.op.dim}, support={list(self.op.support())})"
+
+
+def common_algebra(a: PpuElement, b: PpuElement) -> StarAlgebra:
+    """The algebra of two group elements, or ``InputError`` for any other operand."""
+    if not (isinstance(a, PpuElement) and isinstance(b, PpuElement)):
+        raise InputError("expected a PpuElement operand")
+    return a.algebra.require_same(b.algebra)
 
 
 def ppu_identity(algebra: StarAlgebra) -> PpuElement:

@@ -24,6 +24,7 @@ import numpy as np
 from .laurent import (
     LaurentOp,
     PpuElement,
+    common_algebra,
     in_positive_cone,
     ppu_t_power,
 )
@@ -109,7 +110,7 @@ def _peel(
 
 def leq(a: PpuElement, b: PpuElement) -> bool:
     """Divisibility order: a <= b iff a^-1 b has only non-negative exponents."""
-    a.algebra.require_same(b.algebra)
+    common_algebra(a, b)
     return in_positive_cone(a.op.star() * b.op)
 
 
@@ -162,7 +163,7 @@ def factor_positive(el: PpuElement) -> FactorList:
 
 def meet(a: PpuElement, b: PpuElement) -> PpuElement:
     """Greatest lower bound: t^m times the left gcd of t^-m a and t^-m b."""
-    algebra = a.algebra.require_same(b.algebra)
+    algebra = common_algebra(a, b)
     m = min(a.lo, b.lo)
     members, _ = _peel([a.shifted(-m), b.shifted(-m)], algebra)
     return FactorList(-m, tuple(members)).assemble(algebra)
@@ -175,7 +176,7 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
     b^-1 t^k, so the least such z comes from the greatest such w.  The
     order is only left-invariant, so (a^-1 meet b^-1)^-1 is not the join.
     """
-    algebra = a.algebra.require_same(b.algebra)
+    algebra = common_algebra(a, b)
     k = max(a.hi, b.hi)
     members, _ = _peel([a.op.star().shifted(k), b.op.star().shifted(k)], algebra, right=True)
     op = LaurentOp.t_power(algebra.dim, k)

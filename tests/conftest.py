@@ -255,11 +255,13 @@ def oracle_lattice_op(x, y, combine):
 
 
 # Reference Laurent arithmetic.  ``LaurentOp`` holds one coefficient stack,
-# trims it in one pass and divides by an elementary factor with one batched
+# trims it in one pass, multiplies with one stacked product per term of the
+# left factor and divides by an elementary factor with one batched
 # product; ``ppu._peel`` takes each common head as one kernel.  These are the
 # code they replaced: an exponent -> matrix dict validated and measured one
 # coefficient at a time, the pair-loop product with explicit elementary
-# factors, and the common head as the meet of the heads, three SVDs.
+# factors, the pair loop over two stacks, and the common head as the meet of
+# the heads, three SVDs.
 
 _SQUARES_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 
@@ -321,6 +323,19 @@ class ReferenceLaurent:
 
     def to_op(self):
         return LaurentOp(self.dim, self.coeffs)
+
+
+def reference_convolve(a, b):
+    """The pair-loop Cauchy product of two ``LaurentOp``: zeros, then one
+    in-place add of ``x @ y`` per term pair, in ascending exponent of ``a``
+    then ``b``.  Returns the sorted exponents and the untrimmed stack."""
+    exponents = tuple(sorted({i + j for i in a.exponents for j in b.exponents}))
+    out = np.zeros((len(exponents), a.dim, a.dim), dtype=np.complex128)
+    rows = dict(zip(exponents, out))  # views into out
+    for i, x in zip(a.exponents, a.stack):
+        for j, y in zip(b.exponents, b.stack):
+            rows[i + j] += x @ y
+    return exponents, out
 
 
 def reference_elementary(s, power=1):

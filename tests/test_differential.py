@@ -1,11 +1,13 @@
 """The stacked ``LaurentOp`` and the one-kernel peel against the reference
 implementations in ``conftest`` (dict per coefficient, pair-loop products
-with explicit elementary factors, heads met by three SVDs)."""
+with explicit elementary factors, heads met by three SVDs).  The Cauchy
+product must also match the pair loop over two stacks bitwise."""
 
 import numpy as np
 import pytest
 
 import paraunitary as pu
+from paraunitary import laurent
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import InputError, subspace_residual
 
@@ -13,6 +15,7 @@ from conftest import (
     ReferenceLaurent,
     rand_matrix,
     random_algebra,
+    reference_convolve,
     reference_factors,
     reference_join,
     reference_meet,
@@ -21,6 +24,9 @@ from conftest import (
 
 SCALES = [1.0, 1e-300, 1e-163, 1e200]
 DIMS = [1, 2, 4, 7]
+# (terms of a, terms of b): lopsided, long and zero operands
+SHAPES = [(1, 30), (30, 1), (30, 2), (30, 31), (0, 30)]
+SHAPE_DIMS = [1, 2, 4, 6, 7, 8]
 
 
 def big_shift(rng):
@@ -28,12 +34,18 @@ def big_shift(rng):
     return int(rng.integers(-(10**6), 10**6)) * 10**24
 
 
-def random_coeffs(rng, n, scale):
-    """Up to 8 terms spread over 12 decades, some below the trim, at an offset up to 1e30."""
-    t = int(rng.integers(1, 9))
+def random_coeffs(rng, n, scale, terms=None):
+    """Up to 8 terms spread over 12 decades, some below the trim, at an offset up to 1e30.
+
+    Given ``terms``, exactly that many spread over 6 decades, so the trim keeps them all.
+    """
+    if terms is None:
+        t, decades = int(rng.integers(1, 9)), 12.0
+    else:
+        t, decades = terms, 6.0
     offset = big_shift(rng)
     exps = rng.choice(40, size=t, replace=False) - 20
-    mags = 10.0 ** rng.uniform(-12.0, 0.0, size=t)
+    mags = 10.0 ** rng.uniform(-decades, 0.0, size=t)
     return {offset + int(e): scale * m * rand_matrix(rng, n, n) for e, m in zip(exps, mags)}
 
 
@@ -61,10 +73,21 @@ def cases():
                 yield pytest.param(n, scale, draw, id=f"n{n}-{scale:g}-{draw}")
 
 
-@pytest.mark.parametrize("n, scale, draw", cases())
-def test_construction_and_products_match_the_reference(n, scale, draw):
+def product_cases():
+    """``cases()`` with random term counts, then each of ``SHAPES``."""
+    for case in cases():
+        yield pytest.param(*case.values, None, id=case.id)
+    for n in SHAPE_DIMS:
+        for scale in (1.0, 1e-163):
+            for shape in SHAPES:
+                yield pytest.param(n, scale, 0, shape, id=f"n{n}-{scale:g}-{shape[0]}x{shape[1]}")
+
+
+@pytest.mark.parametrize("n, scale, draw, shape", product_cases())
+def test_construction_and_products_match_the_reference(n, scale, draw, shape):
     rng = np.random.default_rng([n, draw, 61])
-    a, b = random_coeffs(rng, n, scale), random_coeffs(rng, n, scale)
+    terms_a, terms_b = shape or (None, None)
+    a, b = random_coeffs(rng, n, scale, terms_a), random_coeffs(rng, n, scale, terms_b)
     op_a, ref_a = built(LaurentOp, n, a), built(ReferenceLaurent, n, a)
     op_b, ref_b = built(LaurentOp, n, b), built(ReferenceLaurent, n, b)
     for op, ref in ((op_a, ref_a), (op_b, ref_b)):
@@ -74,9 +97,17 @@ def test_construction_and_products_match_the_reference(n, scale, draw):
             assert_same(op, ref)
     if isinstance(ref_a, str) or isinstance(ref_b, str):
         return
+    if shape is not None:
+        assert (len(op_a.exponents), len(op_b.exponents)) == shape
     with np.errstate(under="ignore"):
         assert_same(op_a * op_b, ref_a * ref_b)
         assert_same(op_b * op_a.star(), ref_b * ref_a.star())
+        # each coefficient of the product is the pair loop's sum, bit for bit
+        for x, y in ((op_a, op_b), (op_b, op_a.star())):
+            exponents, stack = laurent._convolve(x, y)
+            ref_exponents, ref_stack = reference_convolve(x, y)
+            assert exponents == ref_exponents
+            assert stack.tobytes() == ref_stack.tobytes()
     k = big_shift(rng)
     assert_same(op_a.shifted(k), ref_a.shifted(k))
     assert_same(op_a.star(), ref_a.star())

@@ -127,6 +127,27 @@ class TestOrder:
         assert pu.leq(g, g)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: t * 3,
+        lambda t: t * t.op,
+        lambda t: pu.leq(t, t.op),
+        lambda t: pu.leq(t.op, t),
+        lambda t: pu.meet(t, 5),
+        lambda t: pu.meet(None, t),
+        lambda t: pu.join(t, t.op),
+        lambda t: pu.join(2.0, t),
+    ],
+    ids=["mul-int", "mul-op", "leq-op", "leq-op-first", "meet-int", "meet-none-first",
+         "join-op", "join-float-first"],
+)
+def test_a_non_element_operand_is_an_input_error(call):
+    t = pu.ppu_t_power(diag_algebra(2), 1)
+    with pytest.raises(InputError, match="expected a PpuElement operand"):
+        call(t)
+
+
 class TestOmegaWindow:
     def test_identity_window_is_empty(self):
         a = diag_algebra(2)
