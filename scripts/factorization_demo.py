@@ -39,7 +39,7 @@ def main():
         residual = (rebuilt.op - el.op).norm()
         dims = [m.subspace.dim for m in factors.factors]
         print(
-            f"element {i}: support={list(el.op.support())} shift={shift} "
+            f"element {i}: support={list(el.op.exponents)} shift={shift} "
             f"factor_dims={dims} residual={residual:.2e}"
         )
         if residual > 1e-8:

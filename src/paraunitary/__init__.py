@@ -36,7 +36,6 @@ from .laurent import (
     in_positive_cone,
     is_paraunitary,
     is_pure,
-    ppu_identity,
     ppu_t_power,
     twist_alpha,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "orthonormal_basis",
     "p_of",
     "partial_oplus",
-    "ppu_identity",
     "ppu_t_power",
     "random_ppu",
     "random_projection_in",

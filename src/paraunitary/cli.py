@@ -131,8 +131,7 @@ def _cmd_factor(args) -> int:
     result = FactorList(shift, peeled.factors)
     # a shift changes no coefficient, so the product of the factors is
     # compared with the shifted input; factor_positive keeps that product
-    rebuilt = peeled.assembled or FactorList(0, peeled.factors).assemble(algebra)
-    residual = float((rebuilt.op - element.op).norms.max(initial=0.0))
+    residual = float((peeled.assembled.op - element.op).norms.max(initial=0.0))
     if residual > tolerances().eq:
         raise NumericalError(f"reconstruction residual {residual:.3e} exceeds tolerance")
     _emit(factor_list_to_json(result), args.out)

@@ -133,14 +133,6 @@ class LaurentOp:
         return op
 
     @classmethod
-    def zero(cls, dim: int) -> "LaurentOp":
-        return cls(dim, {})
-
-    @classmethod
-    def identity(cls, dim: int) -> "LaurentOp":
-        return cls(dim, {0: np.eye(dim)})
-
-    @classmethod
     def t_power(cls, dim: int, k: int) -> "LaurentOp":
         return cls(dim, {int(k): np.eye(dim)})
 
@@ -156,13 +148,6 @@ class LaurentOp:
     @property
     def hi(self) -> int:
         return self.exponents[-1] if self.exponents else 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.exponents
-
-    def support(self) -> tuple[int, ...]:
-        return self.exponents
 
     def coeff(self, e: int) -> np.ndarray:
         e = int(e)
@@ -240,7 +225,7 @@ class LaurentOp:
         return self.distance(other) <= tolerances().eq
 
     def __repr__(self):
-        return f"LaurentOp(dim={self.dim}, support={list(self.support())})"
+        return f"LaurentOp(dim={self.dim}, support={list(self.exponents)})"
 
 
 def _shift(exponents: tuple, k: int) -> tuple:
@@ -450,7 +435,7 @@ class PpuElement:
         return self.op.close_to(other.op)
 
     def __repr__(self):
-        return f"PpuElement(dim={self.op.dim}, support={list(self.op.support())})"
+        return f"PpuElement(dim={self.op.dim}, support={list(self.op.exponents)})"
 
 
 def common_algebra(a: PpuElement, b: PpuElement) -> StarAlgebra:
@@ -460,14 +445,10 @@ def common_algebra(a: PpuElement, b: PpuElement) -> StarAlgebra:
     return a.algebra.require_same(b.algebra)
 
 
-def ppu_identity(algebra: StarAlgebra) -> PpuElement:
-    return ppu_t_power(algebra, 0)
-
-
 def ppu_t_power(algebra: StarAlgebra, k: int = 1) -> PpuElement:
     """t^k: the algebra's identity, certified once per algebra, shifted."""
     if algebra._identity is None:
-        algebra._identity = PpuElement(LaurentOp.identity(algebra.dim), algebra)
+        algebra._identity = PpuElement(LaurentOp.t_power(algebra.dim, 0), algebra)
     return algebra._identity.shifted(k)
 
 

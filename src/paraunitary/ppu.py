@@ -26,7 +26,6 @@ from .laurent import (
     PpuElement,
     common_algebra,
     in_positive_cone,
-    ppu_t_power,
 )
 from .numfield import (
     InputError,
@@ -43,11 +42,13 @@ from .star_algebra import (
 )
 from .reporting import derive_seed
 
+MAX_PEEL_STEPS = 2**16
 
-def _elementary(s: Subspace, power: int = 1) -> LaurentOp:
-    """p_s^power = t^power pi_s + (1 - pi_s), for power = 1 or -1."""
+
+def _elementary(s: Subspace) -> LaurentOp:
+    """p_s = t pi_s + (1 - pi_s)."""
     proj = s.projector()
-    return LaurentOp(s.ambient_dim, {power: proj, 0: np.eye(s.ambient_dim) - proj})
+    return LaurentOp(s.ambient_dim, {1: proj, 0: np.eye(s.ambient_dim) - proj})
 
 
 def p_of(member: InvariantSubspace) -> PpuElement:
@@ -57,8 +58,7 @@ def p_of(member: InvariantSubspace) -> PpuElement:
 
 def gamma_inverse(el: PpuElement) -> InvariantSubspace:
     """Recover M from an elementary factor (any divisor of t is one)."""
-    t_el = ppu_t_power(el.algebra, 1)
-    if not (in_positive_cone(el) and leq(el, t_el)):
+    if not (in_positive_cone(el) and el.hi <= 1):
         raise InputError("element is not between the identity and t")
     factors = factor_positive(el).factors
     return factors[0] if factors else certify_member(el.algebra, zero_subspace(el.op.dim))
@@ -82,7 +82,8 @@ def _peel(
     positive constant is the identity), and every remainder must then
     lie in the positive cone.  A certified operand that no step divided
     passes that test on its certificate.  Returns the peeled members and
-    the remainders.
+    the remainders.  A step under a bound above ``MAX_PEEL_STEPS`` raises
+    ``InputError``, so a peel that takes no step still answers.
     """
     ops = [x.op if isinstance(x, PpuElement) else x for x in operands]
     cap = algebra.dim * min(op.hi for op in ops)
@@ -92,6 +93,8 @@ def _peel(
         s = kernel(np.concatenate(constants))
         if s.dim == 0:
             break
+        if cap > MAX_PEEL_STEPS:
+            raise InputError(f"the greedy peel may need more than {MAX_PEEL_STEPS} steps")
         if len(peeled) == cap:
             raise NumericalError(f"greedy peel did not end within {cap} steps")
         try:
@@ -152,7 +155,7 @@ def factor_positive(el: PpuElement) -> FactorList:
     members, (rest,) = _peel([el], el.algebra)
     if len(members) != el.hi:
         raise NumericalError(f"{len(members)} factors for top exponent {el.hi}")
-    if not rest.close_to(LaurentOp.identity(el.op.dim)):
+    if not rest.close_to(LaurentOp.t_power(el.op.dim, 0)):
         raise NumericalError("factorization left a non-identity remainder")
     members = tuple(members)
     assembled = FactorList(0, members).assemble(el.algebra)
@@ -188,23 +191,16 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
 def complement_in_t(el: PpuElement) -> PpuElement:
     """Orthocomplementation of the interval [1, t]: el -> el^-1 t.
 
-    el^-1 t is the involution shifted by one.  Certified once, it is both
-    the answer and, in the positive cone, the witness of el <= t.
+    el^-1 t is the involution shifted by one, positive iff el.hi <= 1.
     """
-    if not in_positive_cone(el):
+    if not (in_positive_cone(el) and el.hi <= 1):
         raise InputError("element is outside the interval [1, t]")
-    complement = PpuElement(el.op.star().shifted(1), el.algebra)
-    if not in_positive_cone(complement):
-        raise InputError("element is outside the interval [1, t]")
-    return complement
+    return PpuElement(el.op.star().shifted(1), el.algebra)
 
 
 def random_ppu(algebra: StarAlgebra, k: int, shift: int, seed: int) -> PpuElement:
     """Seeded product of k random elementary factors, shifted by t^-shift."""
     if k < 0:
         raise InputError("factor count must be non-negative")
-    op = LaurentOp.identity(algebra.dim)
-    for i in range(k):
-        member = random_projection_in(algebra, derive_seed(seed, i))
-        op = op.times_elementary(member.subspace.projector(), 1)
-    return PpuElement(op.shifted(-int(shift)), algebra)
+    members = tuple([random_projection_in(algebra, derive_seed(seed, i)) for i in range(k)])
+    return FactorList(int(shift), members).assemble(algebra)

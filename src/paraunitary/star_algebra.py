@@ -308,8 +308,9 @@ def oml_complement(m: InvariantSubspace) -> InvariantSubspace:
 
 
 def is_perp(m: InvariantSubspace, n: InvariantSubspace) -> bool:
+    """||M^H N||_F <= eq for the frames, which is ||pi_M pi_N||_F <= eq."""
     m.algebra.require_same(n.algebra)
-    return n.subspace.contained_in(ortho_complement(m.subspace))
+    return frob(m.subspace.frame.conj().T @ n.subspace.frame) <= tolerances().eq
 
 
 def partial_oplus(m: InvariantSubspace, n: InvariantSubspace):

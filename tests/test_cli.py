@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def files(tmp_path):
         return str(p)
 
     write("alg.json", jsonio.algebra_to_json(a))
-    write("one.json", jsonio.laurent_to_json(LaurentOp.identity(2)))
+    write("one.json", jsonio.laurent_to_json(LaurentOp.t_power(2, 0)))
     write("t.json", jsonio.laurent_to_json(LaurentOp.t_power(2, 1)))
     write(
         "el.json",
@@ -375,6 +376,28 @@ def test_eval_beyond_the_exponent_horizon_is_a_numerical_error(capsys, tmp_path,
         assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "numerical"
 
 
+@pytest.mark.parametrize("argv, dim", [
+    (["factor"], 1),
+    (["factor"], 2),
+    (["lattice", "meet"], 2),
+    (["lattice", "join"], 2),
+])
+def test_peel_of_huge_degree_is_refused_quickly(capsys, tmp_path, argv, dim):
+    # t^N on C, or t^N diag(1, 0) + diag(0, 1) over the diagonal algebra on
+    # C^2, N = 10^30: the peel would take a step per unit of degree
+    proj = np.diag([1.0, 0.0][:dim])
+    element = LaurentOp(dim, {10**30: proj, 0: np.eye(dim) - proj})
+    for name, payload in (("alg.json", jsonio.algebra_to_json(diag_algebra(dim))),
+                          ("el.json", jsonio.laurent_to_json(element))):
+        (tmp_path / name).write_text(jsonio.canonical_dumps(payload))
+    operands = [str(tmp_path / "el.json")] * (1 if argv == ["factor"] else 2)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "alg.json"), *operands)
+    assert time.process_time() - start < 10.0
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "input"
+
+
 def test_factor_certifies_each_element_once(files, capsys, certifications):
     # the input, the peel's remainder and the reassembled product, which
     # also gives the reconstruction residual
@@ -397,7 +420,8 @@ def test_tiny_coefficient_survives_eval(capsys, tmp_path):
 def test_factor_checks_its_reconstruction_residual(files, capsys, monkeypatch):
     # a peel that drops every factor reassembles to the identity, which
     # is a distance of 1 from the diagonal element
-    monkeypatch.setattr(cli, "factor_positive", lambda el: ppu.FactorList(0, ()))
+    monkeypatch.setattr(cli, "factor_positive",
+                        lambda el: ppu.FactorList(0, (), pu.ppu_t_power(el.algebra, 0)))
     code, out, err = run_cli(capsys, "factor", files["alg.json"], files["el.json"])
     assert code == 1 and out == ""
     assert json.loads(err)["kind"] == "numerical"

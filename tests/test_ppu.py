@@ -46,7 +46,7 @@ def full_member(algebra):
 class TestElementaryFactor:
     def test_zero_subspace_gives_identity(self):
         a = diag_algebra(2)
-        assert pu.p_of(zero_member(a)).close_to(pu.ppu_identity(a))
+        assert pu.p_of(zero_member(a)).close_to(pu.ppu_t_power(a, 0))
 
     def test_full_space_gives_shift(self):
         a = diag_algebra(2)
@@ -62,7 +62,7 @@ class TestElementaryFactor:
 class TestGammaInverse:
     def test_identity_gives_zero_subspace(self):
         a = diag_algebra(2)
-        assert pu.gamma_inverse(pu.ppu_identity(a)).subspace.dim == 0
+        assert pu.gamma_inverse(pu.ppu_t_power(a, 0)).subspace.dim == 0
 
     def test_shift_gives_everything(self):
         a = diag_algebra(2)
@@ -93,7 +93,7 @@ class TestGammaInverse:
 class TestOrder:
     def test_one_below_shift(self):
         a = diag_algebra(2)
-        assert pu.leq(pu.ppu_identity(a), pu.ppu_t_power(a, 1))
+        assert pu.leq(pu.ppu_t_power(a, 0), pu.ppu_t_power(a, 1))
 
     def test_every_factor_divides_t(self):
         a = doubled_algebra(2, seed=32)
@@ -151,7 +151,7 @@ def test_a_non_element_operand_is_an_input_error(call):
 class TestOmegaWindow:
     def test_identity_window_is_empty(self):
         a = diag_algebra(2)
-        w = oracle_window(pu.ppu_identity(a), 0, 1)
+        w = oracle_window(pu.ppu_t_power(a, 0), 0, 1)
         assert w.space.dim == 0 and w.space.ambient_dim == 2
 
     def test_elementary_factor_window_holds_the_subspace(self):
@@ -186,7 +186,7 @@ class TestOmegaWindow:
     def test_equal_windows_mean_equal_elements(self):
         a = full_algebra(2, seed=37)
         g = pu.random_ppu(a, 3, 1, seed=8)
-        h = g * pu.ppu_identity(a)
+        h = g * pu.ppu_t_power(a, 0)
         wg = oracle_window(g, g.lo, g.hi)
         wh = oracle_window(h, g.lo, g.hi)
         assert subspace_residual(wg.space, wh.space) < 1e-12
@@ -222,7 +222,7 @@ class TestPeelFormula:
 class TestFactorPositive:
     def test_identity_factors_empty(self):
         a = diag_algebra(2)
-        assert pu.factor_positive(pu.ppu_identity(a)).factors == ()
+        assert pu.factor_positive(pu.ppu_t_power(a, 0)).factors == ()
 
     def test_single_factor_peels_once(self):
         a = diag_algebra(2)
@@ -244,6 +244,25 @@ class TestFactorPositive:
         ) < 1e-10
         # oracle: multiply the factors back together
         assert fl.assemble(a).close_to(el)
+
+    def test_refuses_a_peel_bound_above_the_step_limit(self):
+        # a bound of n * hi = 2 * (2^15 + 1) steps, just above the limit
+        a = diag_algebra(2)
+        k = ppu.MAX_PEEL_STEPS // 2 + 1
+        el = pu.PpuElement(LaurentOp(2, {k: np.diag([1.0, 0.0]), 0: np.diag([0.0, 1.0])}), a)
+        for run in (pu.factor_positive, lambda x: pu.meet(x, x), lambda x: pu.join(x, x)):
+            with pytest.raises(InputError, match="greedy peel"):
+                run(el)
+
+    def test_peel_without_a_step_answers_at_any_degree(self):
+        # t^N P + (1 - P) and t^N (1 - P) + P share no head and no tail,
+        # so meet and join take no step: the pointwise min and max
+        a = diag_algebra(2)
+        p, q, n = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 10**30
+        x = pu.PpuElement(LaurentOp(2, {n: p, 0: q}), a)
+        y = pu.PpuElement(LaurentOp(2, {n: q, 0: p}), a)
+        assert pu.meet(x, y).close_to(pu.ppu_t_power(a, 0))
+        assert pu.join(x, y).close_to(pu.ppu_t_power(a, n))
 
     def test_factor_count_equals_degree(self):
         for n, seed in [(2, 51), (3, 52)]:
@@ -286,7 +305,7 @@ class TestReconstruct:
     def test_empty_window_gives_identity(self):
         a = diag_algebra(2)
         w = Window(a, 0, 1, pu.orthonormal_basis(np.zeros((2, 0))))
-        assert kron_peel(w).close_to(pu.ppu_identity(a).op)
+        assert kron_peel(w).close_to(pu.ppu_t_power(a, 0).op)
 
     def test_slot_one_window_gives_elementary_factor(self):
         a = diag_algebra(2)
@@ -451,7 +470,7 @@ def test_meet_and_join_bound_their_operands_at_high_degree(bench_inputs, spec, k
 class TestComplement:
     def test_ends_of_the_interval(self):
         a = diag_algebra(2)
-        one, t_el = pu.ppu_identity(a), pu.ppu_t_power(a, 1)
+        one, t_el = pu.ppu_t_power(a, 0), pu.ppu_t_power(a, 1)
         assert pu.complement_in_t(one).close_to(t_el)
         assert pu.complement_in_t(t_el).close_to(one)
 
@@ -515,6 +534,19 @@ class TestComplement:
                 pu.complement_in_t(el)
 
 
+@pytest.mark.parametrize("kind", sorted(each_algebra_kind()))
+def test_interval_maps_reject_a_degree_two_element(kind):
+    a = each_algebra_kind()[kind]
+    m = next(m for seed in range(16)
+             if (m := pu.random_projection_in(a, seed)).subspace.dim > 0)
+    el = pu.ppu_t_power(a, 1) * pu.p_of(m)
+    assert pu.in_positive_cone(el) and el.hi == 2
+    with pytest.raises(InputError, match=r"^element is not between the identity and t$"):
+        pu.gamma_inverse(el)
+    with pytest.raises(InputError, match=r"^element is outside the interval \[1, t\]$"):
+        pu.complement_in_t(el)
+
+
 class TestCertifiedOnce:
     """Exact certification counts: an element already certified is not again."""
 
@@ -522,7 +554,7 @@ class TestCertifiedOnce:
     def pm(self):
         """p_M for 0 < M < C^3 in M_3, with the identity already certified."""
         a = full_algebra(3, seed=84)
-        pu.ppu_identity(a)
+        pu.ppu_t_power(a, 0)
         m = member_of(a, [[1.0], [0.0], [0.0]])
         return pu.p_of(m), pu.p_of(pu.certify_member(a, pu.ortho_complement(m.subspace)))
 
@@ -530,7 +562,7 @@ class TestCertifiedOnce:
         a = full_algebra(2, seed=85)
         for k in (0, 1, -2, 10**30):
             pu.ppu_t_power(a, k)
-        pu.ppu_identity(a)
+        pu.ppu_t_power(a, 0)
         assert len(certifications) == 1
 
     def test_complement_certifies_only_its_answer(self, pm, certifications):
@@ -539,10 +571,10 @@ class TestCertifiedOnce:
         assert len(certifications) == 1
 
     def test_gamma_inverse(self, pm, certifications):
-        # el <= t, the peel's remainder and the reassembled factor
+        # the peel's remainder and the reassembled factor
         el, _ = pm
         pu.gamma_inverse(el)
-        assert len(certifications) == 3
+        assert len(certifications) == 2
 
     def test_meet_without_a_common_head(self, pm, certifications):
         # no step divides the operands, so only the answer is certified
@@ -555,7 +587,7 @@ class TestCertifiedOnce:
 class TestOrderUnitExponent:
     def test_identity(self):
         a = diag_algebra(2)
-        assert pu.order_unit_exponent(pu.ppu_identity(a)) == 0
+        assert pu.order_unit_exponent(pu.ppu_t_power(a, 0)) == 0
 
     def test_negative_shift(self):
         a = diag_algebra(2)
@@ -576,7 +608,7 @@ class TestOrderUnitExponent:
 class TestRandomPpu:
     def test_zero_factors_is_identity(self):
         a = diag_algebra(2)
-        assert pu.random_ppu(a, 0, 0, seed=0).close_to(pu.ppu_identity(a))
+        assert pu.random_ppu(a, 0, 0, seed=0).close_to(pu.ppu_t_power(a, 0))
 
     def test_single_factor_divides_t(self):
         a = full_algebra(2, seed=92)
@@ -587,8 +619,8 @@ class TestRandomPpu:
         a = full_algebra(3, seed=93)
         x = pu.random_ppu(a, 4, 2, seed=99)
         y = pu.random_ppu(a, 4, 2, seed=99)
-        assert x.op.support() == y.op.support()
-        for e in x.op.support():
+        assert x.op.exponents == y.op.exponents
+        for e in x.op.exponents:
             assert np.array_equal(x.op.coeff(e), y.op.coeff(e))
 
     def test_rejects_negative_count(self):

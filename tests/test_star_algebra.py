@@ -14,13 +14,14 @@ from paraunitary.numfield import (
     orthonormal_basis,
     subspace_residual,
 )
-from paraunitary.star_algebra import _seed_span, oml_complement, oml_join, oml_meet
+from paraunitary.star_algebra import _seed_span, is_perp, oml_complement, oml_join, oml_meet
 
 from conftest import (
     block_algebra,
     closure_residual,
     diag_algebra,
     doubled_algebra,
+    each_algebra_kind,
     full_algebra,
     load_module,
     rand_matrix,
@@ -395,6 +396,17 @@ class TestOmlOps:
         # oracle: the inner product of the spanning vectors is nonzero
         assert abs(np.vdot(e1.subspace.frame[:, 0], tilted.subspace.frame[:, 0])) > 0.1
         assert pu.partial_oplus(e1, tilted) is None
+
+    @pytest.mark.parametrize("kind", sorted(each_algebra_kind()))
+    def test_is_perp_matches_containment_in_the_complement(self, kind):
+        # oracle: N lies inside the orthocomplement of M
+        a = each_algebra_kind()[kind]
+        for seed in range(8):
+            m = pu.random_projection_in(a, pu.derive_seed(seed, 0))
+            n = pu.random_projection_in(a, pu.derive_seed(seed, 1))
+            for other in (n, oml_meet(oml_complement(m), n)):
+                want = other.subspace.contained_in(pu.ortho_complement(m.subspace))
+                assert is_perp(m, other) == want
 
     def test_partial_commutativity_and_associativity(self):
         a = diag_algebra(4)
