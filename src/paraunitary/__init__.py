@@ -47,7 +47,6 @@ from .ppu import (
     join,
     leq,
     meet,
-    order_unit_exponent,
     p_of,
     random_ppu,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "leq",
     "meet",
     "meet_subspace",
-    "order_unit_exponent",
     "ortho_complement",
     "orthonormal_basis",
     "p_of",

@@ -208,9 +208,6 @@ class LaurentOp:
         )
 
     def eval_at(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
-            raise InputError("evaluation point must lie on the unit circle")
         return np.tensordot(_powers(z, self.exponents), self.stack, axes=1)
 
     def norm(self) -> float:
@@ -242,20 +239,23 @@ def _shift(exponents: tuple, k: int) -> tuple:
 def _powers(z: complex, exponents) -> np.ndarray:
     """``z ** e`` for each exponent, exactly 1 at ``z = 1``.
 
-    The phase of any other ``z`` is known only to about ulp(arg z), and
-    ``z ** e`` multiplies that error by ``|e|``: beyond ``|e| = eq /
-    ulp(arg z)`` the value is rounding noise.  Such an exponent, like a
-    power that overflows, is a ``NumericalError``.
+    ``z`` must lie on the unit circle, up to ``eq``.  Its phase is known
+    only to about ulp(arg z), and its modulus is off 1 by up to |log |z||;
+    ``z ** e`` multiplies both errors by ``|e|``, so beyond ``|e| = eq /
+    max(ulp(arg z), |log |z||)`` the value is rounding noise, and such an
+    exponent is a ``NumericalError``.  Within that horizon ``|z ** e|``
+    stays within about ``eq`` of 1, so no power overflows.
     """
+    z = complex(z)
+    if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
+        raise InputError("evaluation point must lie on the unit circle")
     if z == 1:
         return np.ones(len(exponents), dtype=np.complex128)
-    horizon = tolerances().eq / math.ulp(abs(cmath.phase(z)))
+    error = max(math.ulp(abs(cmath.phase(z))), abs(math.log(abs(z))))
+    horizon = tolerances().eq / error
     if any(abs(e) > horizon for e in exponents):
         raise NumericalError(f"z ** e is rounding noise beyond |e| = {horizon:.3g}")
-    try:
-        return np.array([z ** e for e in exponents], dtype=np.complex128)
-    except OverflowError as exc:
-        raise NumericalError("z ** e overflows") from exc
+    return np.array([z ** e for e in exponents], dtype=np.complex128)
 
 
 def _scattered(dim: int, parts) -> tuple[tuple, np.ndarray]:
@@ -460,8 +460,5 @@ def twist_alpha(el: PpuElement, z: complex) -> LaurentOp:
     identity at z, but is generally no longer pure at 1, hence the plain
     LaurentOp return type.
     """
-    z = complex(z)
-    if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
-        raise InputError("twist point must lie on the unit circle")
     powers = _powers(z, [-e for e in el.op.exponents])
     return LaurentOp._make(el.op.dim, el.op.exponents, el.op.stack * powers[:, None, None])

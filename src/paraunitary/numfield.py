@@ -121,20 +121,8 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.frame @ self.frame.conj().T
 
-    def contained_in(self, other: "Subspace") -> bool:
-        """Inclusion test via the residual ||(I - pi_other) frame||_F."""
-        return columns_outside(self.frame, other) <= tolerances().eq
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def columns_outside(cols: np.ndarray, s: Subspace) -> float:
-    """How far the columns of ``cols`` stick out of ``s`` (Frobenius norm)."""
-    if cols.shape[0] != s.ambient_dim:
-        raise InputError("ambient dimension mismatch")
-    residual = cols - s.frame @ (s.frame.conj().T @ cols)
-    return frob(residual)
 
 
 def zero_subspace(n: int) -> Subspace:

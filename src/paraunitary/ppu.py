@@ -117,11 +117,6 @@ def leq(a: PpuElement, b: PpuElement) -> bool:
     return in_positive_cone(a.op.star() * b.op)
 
 
-def order_unit_exponent(el: PpuElement) -> int:
-    """Least k with el <= t^k; equals the top exponent (0 for the identity)."""
-    return el.op.hi
-
-
 @dataclasses.dataclass(frozen=True)
 class FactorList:
     """Ordered elementary factorization t^-shift * p_1 * ... * p_k.

@@ -53,22 +53,22 @@ class CheckReport:
         return self.effective < MIN_EFFECTIVE_SAMPLES
 
     def record(self, residual: float, payload) -> None:
-        """Register one effective sample; payload is kept on failure only.
+        """Register one effective sample; ``payload()`` is kept on failure only.
 
-        ``payload`` may be a callable so that counterexample serialization
-        is paid for only when a sample actually fails.
+        ``payload`` is a callable, so that counterexample serialization is
+        paid for only when a sample actually fails.
         """
         self.effective += 1
         residual = float(residual)
         self.max_error = max(self.max_error, residual)
         if residual > tolerances().eq:
-            self.failures.append({"residual": residual, "input": _force(payload)})
+            self.failures.append({"residual": residual, "input": payload()})
 
     def record_flag(self, ok: bool, payload) -> None:
         """Register a boolean law instance (no numeric residual)."""
         self.effective += 1
         if not ok:
-            self.failures.append({"input": _force(payload)})
+            self.failures.append({"input": payload()})
 
     def skip_vacuous(self) -> None:
         self.vacuous += 1
@@ -84,7 +84,3 @@ class CheckReport:
             "vacuous": self.vacuous,
             "inconclusive": self.inconclusive,
         }
-
-
-def _force(payload):
-    return payload() if callable(payload) else payload

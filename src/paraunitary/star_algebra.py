@@ -35,28 +35,35 @@ from .reporting import CheckReport, derive_seed
 CLUSTER_GAP = 1e-6
 
 
+def _stack(n: int, mats) -> np.ndarray:
+    """Read-only ``(k, n, n)`` copy of finite complex ``n x n`` matrices."""
+    mats = [as_matrix(m) for m in mats]
+    if any(m.shape != (n, n) for m in mats):
+        raise InputError("algebra elements must be square of the ambient size")
+    stack = np.array(mats, dtype=np.complex128).reshape(len(mats), n, n)
+    stack.flags.writeable = False
+    return stack
+
+
 class StarAlgebra:
     """Unital *-closed subalgebra of n x n complex matrices.
 
-    Invariant: the basis spans the unital *-closure of the generators.
+    Held as two read-only ``(k, n, n)`` arrays, copied from the caller's:
+    ``generators`` and a trace-orthonormal ``basis``.  Invariant: the
+    basis spans the unital *-closure of the generators.
     ``generate_algebra`` establishes it by construction; a caller who
     builds an instance directly must supply such a pair, because the
-    commutant is computed from the generators alone.
+    commutant is computed from the generators alone.  Neither array can
+    change, so the commutant and the certified identity are cached on the
+    instance.
     """
 
     def __init__(self, dim: int, generators, basis):
         self.dim = int(dim)
-        self.generators = tuple(as_matrix(g) for g in generators)
-        self.basis = tuple(as_matrix(b) for b in basis)
-        for m in self.generators + self.basis:
-            if m.shape != (self.dim, self.dim):
-                raise InputError("algebra elements must be square of the ambient size")
+        self.generators = _stack(self.dim, generators)
+        self.basis = _stack(self.dim, basis)
         # rows are trace-orthonormal iff they are orthonormal as vectors
-        self._vec = (
-            np.stack([b.reshape(-1) for b in self.basis])
-            if self.basis
-            else np.zeros((0, self.dim * self.dim), dtype=np.complex128)
-        )
+        self._vec = self.basis.reshape(len(self.basis), self.dim * self.dim)
         gram = self._vec.conj() @ self._vec.T
         if mat_residual(gram, np.eye(len(self.basis))) > tolerances().eq:
             raise InputError("algebra basis is not trace-orthonormal")
@@ -69,11 +76,6 @@ class StarAlgebra:
     @property
     def linear_dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def stack(self) -> np.ndarray:
-        """The basis as one ``(linear_dim, n, n)`` array."""
-        return self._vec.reshape(-1, self.dim, self.dim)
 
     def membership_residual(self, x) -> float:
         """Largest ||x - pi(x)||_F / max(1, ||x||_F) over a matrix or a stack of them.
@@ -93,9 +95,6 @@ class StarAlgebra:
         )
         return float(residuals.max(initial=0.0))
 
-    def contains(self, x) -> bool:
-        return self.membership_residual(x) <= tolerances().eq
-
     @property
     def commutant(self) -> "StarAlgebra":
         if self._commutant is None:
@@ -105,7 +104,7 @@ class StarAlgebra:
     def same_span(self, other: "StarAlgebra") -> bool:
         if self.dim != other.dim or self.linear_dim != other.linear_dim:
             return False
-        return other.membership_residual(self.stack) <= tolerances().eq
+        return other.membership_residual(self.basis) <= tolerances().eq
 
     def require_same(self, other: "StarAlgebra") -> "StarAlgebra":
         """This algebra if ``other`` spans the same one, else ``InputError``."""
@@ -210,8 +209,7 @@ def commutant(a: StarAlgebra) -> StarAlgebra:
     stacked = (
         np.einsum("aip,jq->aijpq", fixed, eye) - np.einsum("ip,aqj->aijpq", eye, fixed)
     ).reshape(-1, n * n)
-    null = kernel(stacked)
-    basis = [null.frame[:, i].reshape(n, n) for i in range(null.dim)]
+    basis = kernel(stacked).frame.T.reshape(-1, n, n)
     return StarAlgebra(n, basis, basis)
 
 
@@ -238,7 +236,7 @@ def is_member_XAprime(a: StarAlgebra, s: Subspace) -> bool:
     # over the commutant basis c, in one stacked product
     inv_residual = 0.0
     if s.dim > 0:
-        moved = a.commutant.stack @ s.frame
+        moved = a.commutant.basis @ s.frame
         outside = moved - s.frame @ (s.frame.conj().T @ moved)
         ratios = np.linalg.norm(outside, axis=(1, 2)) / np.maximum(
             1.0, np.linalg.norm(moved, axis=(1, 2))

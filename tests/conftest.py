@@ -17,7 +17,6 @@ from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import (
     InputError,
     as_matrix,
-    columns_outside,
     frob,
     kernel,
     meet_subspace,
@@ -168,9 +167,26 @@ def certified_samples(a):
     ] + [wide]
 
 
+def contains(a, x):
+    """Is ``x`` in the algebra ``a``, within ``eq``?"""
+    return a.membership_residual(x) <= tolerances().eq
+
+
+def columns_outside(cols, s):
+    """How far the columns of ``cols`` stick out of ``s`` (Frobenius norm)."""
+    if cols.shape[0] != s.ambient_dim:
+        raise InputError("ambient dimension mismatch")
+    return frob(cols - s.frame @ (s.frame.conj().T @ cols))
+
+
+def contained_in(s, other):
+    """Inclusion test via the residual ||(I - pi_other) frame||_F."""
+    return columns_outside(s.frame, other) <= tolerances().eq
+
+
 def closure_residual(a):
     """Worst membership residual over the basis's adjoints and pairwise products."""
-    basis = a.stack
+    basis = a.basis
     worst = a.membership_residual(basis.conj().swapaxes(1, 2))
     for x in basis:
         worst = max(worst, a.membership_residual(x @ basis))

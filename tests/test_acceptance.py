@@ -17,7 +17,13 @@ from paraunitary import axioms, jsonio
 from paraunitary.cli import main as cli_main
 from paraunitary.numfield import frob
 
-from conftest import kron_peel, kron_stability_residual, oracle_window, random_algebra
+from conftest import (
+    contained_in,
+    kron_peel,
+    kron_stability_residual,
+    oracle_window,
+    random_algebra,
+)
 
 # structurally mixed seeded algebras on C^2..C^6: full matrix algebra,
 # diagonal, two block direct sums, and a multiplicity-two block
@@ -144,7 +150,7 @@ def test_criterion_2_order_embedding(algebras):
             wh = oracle_window(h, lo, hi)
             for x, y, wx, wy in ((g, h, wg, wh), (h, g, wh, wg)):
                 checked += 1
-                if pu.leq(x, y) != wx.space.contained_in(wy.space):
+                if pu.leq(x, y) != contained_in(wx.space, wy.space):
                     disagreements += 1
     _report(2, disagreements == 0, f"{checked} comparisons, {disagreements} disagreements")
 

@@ -11,7 +11,7 @@ from paraunitary.cli import main
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import full_subspace
 
-from conftest import diag_algebra, load_module, run_python
+from conftest import contains, diag_algebra, load_module, run_python
 
 
 @pytest.fixture
@@ -188,7 +188,7 @@ def test_commutant_does_not_depend_on_the_generator_scale(capsys, tmp_path, scal
     assert code == 0, err
     reloaded = jsonio.algebra_from_json(json.loads(out))
     assert reloaded.linear_dim == 2
-    assert reloaded.contains(np.diag([1.0, 0.0]))
+    assert contains(reloaded, np.diag([1.0, 0.0]))
 
 
 def test_eval_at_minus_one(files, capsys):
@@ -368,12 +368,24 @@ def test_eval_beyond_the_exponent_horizon_is_a_numerical_error(capsys, tmp_path,
     }}))
     code, out, err = run_cli(capsys, "eval", str(element), "--z", "1")
     assert (code, out, err) == (0, '{"cols":1,"data":[[[1,0]]],"rows":1}\n', "")
-    # 1.000000001 ** 1e30 overflows; 0.999999999 ** -1e30 too
+    # off the circle by 1e-9, |e| = 1e30 is far beyond the horizon of about 10
     z = "1.000000001" if exponent > 0 else "0.999999999"
     for point in (z, "1j", "(0.6+0.8j)"):
         code, out, err = run_cli(capsys, "eval", str(element), "--z", point)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "numerical"
+
+
+def test_eval_off_the_circle_bounds_the_modulus_error(capsys, tmp_path):
+    # |1.000000001 ** 1e10| is e^10: the modulus error, not only the phase
+    # error, grows with |e|, so the exponent is beyond the horizon
+    element = tmp_path / "far.json"
+    element.write_text(json.dumps({"dim": 1, "coeffs": {
+        str(10**10): {"rows": 1, "cols": 1, "data": [[[1, 0]]]},
+    }}))
+    code, out, err = run_cli(capsys, "eval", str(element), "--z", "1.000000001")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "numerical"
 
 
 @pytest.mark.parametrize("argv, dim", [

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 import paraunitary as pu
 from paraunitary.numfield import (
     InputError,
-    columns_outside,
     frob,
     mat_residual,
     subspace_residual,
     zero_subspace,
 )
 
-from conftest import rand_matrix, random_subspace
+from conftest import columns_outside, contained_in, rand_matrix, random_subspace
 
 E1 = np.array([[1.0], [0.0]])
 E2 = np.array([[0.0], [1.0]])
@@ -272,5 +271,5 @@ def test_orthomodular_law(n, seed):
 def test_inclusion_residual_consistent(n, seed):
     a, b = random_subspace(n, seed, 0), random_subspace(n, seed, 1)
     m = pu.meet_subspace(a, b)
-    assert m.contained_in(a) and m.contained_in(b)
+    assert contained_in(m, a) and contained_in(m, b)
     assert columns_outside(m.frame, a) < 1e-8

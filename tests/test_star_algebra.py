@@ -19,6 +19,8 @@ from paraunitary.star_algebra import _seed_span, is_perp, oml_complement, oml_jo
 from conftest import (
     block_algebra,
     closure_residual,
+    contained_in,
+    contains,
     diag_algebra,
     doubled_algebra,
     each_algebra_kind,
@@ -38,21 +40,21 @@ class TestGenerate:
     def test_no_generators_gives_scalars(self):
         a = pu.generate_algebra(2, [])
         assert a.linear_dim == 1
-        assert a.contains(np.eye(2))
+        assert contains(a, np.eye(2))
 
     def test_nilpotent_generates_everything(self):
         # products of the generator and its adjoint reach all matrix units
         a = pu.generate_algebra(2, [NILPOTENT])
         assert a.linear_dim == 4
         for unit in (NILPOTENT, NILPOTENT.T, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
-            assert a.contains(unit)
+            assert contains(a, unit)
 
     def test_distinct_eigenvalues_generate_diagonal(self):
         # powers of diag(1,2,3) span the diagonal (Vandermonde is invertible)
         a = pu.generate_algebra(3, [np.diag([1.0, 2.0, 3.0])])
         assert a.linear_dim == 3
-        assert a.contains(np.diag([5.0, -1.0, 2.0]))
-        assert not a.contains(np.eye(3)[:, ::-1])
+        assert contains(a, np.diag([5.0, -1.0, 2.0]))
+        assert not contains(a, np.eye(3)[:, ::-1])
 
     def test_generator_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -213,6 +215,26 @@ class TestClosureAgainstReference:
         assert elapsed < 1.0
 
 
+class TestStorage:
+    @pytest.mark.parametrize("kind", sorted(each_algebra_kind()))
+    def test_generators_and_basis_are_read_only_stacks(self, kind):
+        a = each_algebra_kind()[kind]
+        assert a.basis.shape == (a.linear_dim, a.dim, a.dim)
+        assert a.generators.shape[1:] == (a.dim, a.dim)
+        for stack in (a.generators, a.basis):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            a.basis[0][...] = 0
+
+    def test_a_caller_edit_of_a_generator_leaves_the_algebra_alone(self):
+        g = np.diag([1, 2, 3]).astype(complex)
+        a = pu.generate_algebra(3, [g])
+        g[0, 1] = 5
+        # the diagonal algebra's commutant is the diagonal algebra
+        assert pu.commutant(a).linear_dim == 3
+
+
 class TestCommutant:
     def test_commutant_of_scalars_is_everything(self):
         assert scalar_algebra(3).commutant.linear_dim == 9
@@ -220,13 +242,13 @@ class TestCommutant:
     def test_commutant_of_everything_is_scalars(self):
         c = pu.generate_algebra(2, [NILPOTENT]).commutant
         assert c.linear_dim == 1
-        assert c.contains(np.eye(2))
+        assert contains(c, np.eye(2))
 
     def test_commutant_of_diagonal_is_diagonal(self):
         c = diag_algebra(3).commutant
         assert c.linear_dim == 3
-        assert c.contains(np.diag([1.0, 5.0, 7.0]))
-        assert not c.contains(np.eye(3, k=1))
+        assert contains(c, np.diag([1.0, 5.0, 7.0]))
+        assert not contains(c, np.eye(3, k=1))
 
     @pytest.mark.parametrize(
         "algebra",
@@ -292,16 +314,16 @@ class TestCommutantFromGenerators:
 
 class TestContains:
     def test_identity_in_scalars(self):
-        assert scalar_algebra(2).contains(np.eye(2))
+        assert contains(scalar_algebra(2), np.eye(2))
 
     def test_offdiagonal_not_in_diagonal(self):
-        assert not diag_algebra(2).contains(NILPOTENT)
+        assert not contains(diag_algebra(2), NILPOTENT)
 
     def test_products_of_basis_elements_stay_inside(self):
         a = doubled_algebra(2, seed=9)
         for x in a.basis[:3]:
             for y in a.basis[:3]:
-                assert a.contains(x @ y)
+                assert contains(a, x @ y)
 
 
 class TestMembership:
@@ -405,7 +427,7 @@ class TestOmlOps:
             m = pu.random_projection_in(a, pu.derive_seed(seed, 0))
             n = pu.random_projection_in(a, pu.derive_seed(seed, 1))
             for other in (n, oml_meet(oml_complement(m), n)):
-                want = other.subspace.contained_in(pu.ortho_complement(m.subspace))
+                want = contained_in(other.subspace, pu.ortho_complement(m.subspace))
                 assert is_perp(m, other) == want
 
     def test_partial_commutativity_and_associativity(self):
