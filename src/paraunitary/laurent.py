@@ -18,7 +18,7 @@ from typing import NoReturn
 import numpy as np
 
 from .numfield import InputError, NumericalError, as_matrix, frob, tolerances
-from .star_algebra import StarAlgebra
+from .star_algebra import StarAlgebra, _immutable
 
 
 # below this, a sum of squares loses precision or underflows to 0
@@ -72,10 +72,6 @@ def _reject(dim: int, coeffs) -> NoReturn:
             raise InputError("duplicate exponent")
         seen.add(int(e))
     raise InputError("malformed coefficients")
-
-
-def _immutable(self, *args) -> NoReturn:
-    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class LaurentOp:
@@ -254,23 +250,30 @@ def _powers(z: complex, exponents) -> np.ndarray:
     error = max(math.ulp(abs(cmath.phase(z))), abs(math.log(abs(z))))
     horizon = tolerances().eq / error
     if any(abs(e) > horizon for e in exponents):
-        raise NumericalError(f"z ** e is rounding noise beyond |e| = {horizon:.3g}")
+        raise NumericalError(f"z ** e is rounding noise beyond |e| = {math.floor(horizon)}")
     return np.array([z ** e for e in exponents], dtype=np.complex128)
 
 
 def _scattered(dim: int, parts) -> tuple[tuple, np.ndarray]:
-    """Untrimmed sum of ``(exponents, stack)`` parts, each with distinct
-    exponents, added in the order the parts come."""
+    """Untrimmed sum of ``(exponents, stack)`` parts, each with sorted distinct
+    exponents, added in the order the parts come: with one slice where a
+    part fills consecutive rows, else with one index list (bitwise the same)."""
     exponents = tuple(sorted({e for exps, _ in parts for e in exps}))
-    row = {e: i for i, e in enumerate(exponents)}
     out = np.zeros((len(exponents), dim, dim), dtype=np.complex128)
+    row = None
     for exps, stack in parts:
+        r = bisect.bisect_left(exponents, exps[0]) if exps else 0
+        if exponents[r:r + len(exps)] == exps:
+            out[r:r + len(exps)] += stack
+            continue
+        if row is None:
+            row = {e: i for i, e in enumerate(exponents)}
         out[[row[e] for e in exps]] += stack
     return exponents, out
 
 
 def _summed(dim: int, *parts: tuple) -> LaurentOp:
-    """Trimmed sum of ``(exponents, stack)`` parts, each with distinct exponents."""
+    """Trimmed sum of ``(exponents, stack)`` parts, each with sorted distinct exponents."""
     return LaurentOp._make(dim, *_scattered(dim, parts))
 
 
@@ -282,9 +285,17 @@ def _convolve(a: LaurentOp, b: LaurentOp) -> tuple[tuple, np.ndarray]:
     ``A_i B_j`` is the product a single ``n x n`` matmul gives, and the
     terms of ``a`` are added in ascending exponent, as the pair loop over
     ``a`` then ``b`` adds them: the sums are bitwise that loop's.
+    When both supports are contiguous, as in products of degree-one
+    factors, term ``i`` of ``a`` adds into rows ``i .. i + len(b) - 1``.
     """
-    return _scattered(a.dim, [(_shift(b.exponents, i), x @ b.stack)
-                              for i, x in zip(a.exponents, a.stack)])
+    t = len(b.exponents)
+    if a.hi - a.lo != len(a.exponents) - 1 or b.hi - b.lo != t - 1:
+        return _scattered(a.dim, [(_shift(b.exponents, i), x @ b.stack)
+                                  for i, x in zip(a.exponents, a.stack)])
+    out = np.zeros((len(a.exponents) + t - 1, a.dim, a.dim), dtype=np.complex128)
+    for i, x in enumerate(a.stack):
+        out[i:i + t] += x @ b.stack
+    return tuple(range(a.lo + b.lo, a.hi + b.hi + 1)), out
 
 
 def _product_residual(op: LaurentOp) -> float:
@@ -448,7 +459,8 @@ def common_algebra(a: PpuElement, b: PpuElement) -> StarAlgebra:
 def ppu_t_power(algebra: StarAlgebra, k: int = 1) -> PpuElement:
     """t^k: the algebra's identity, certified once per algebra, shifted."""
     if algebra._identity is None:
-        algebra._identity = PpuElement(LaurentOp.t_power(algebra.dim, 0), algebra)
+        identity = PpuElement(LaurentOp.t_power(algebra.dim, 0), algebra)
+        object.__setattr__(algebra, "_identity", identity)
     return algebra._identity.shifted(k)
 
 

@@ -10,6 +10,7 @@ is the orthomodular lattice all higher layers are built on.
 from __future__ import annotations
 
 import dataclasses
+from typing import NoReturn
 
 import numpy as np
 
@@ -45,6 +46,10 @@ def _stack(n: int, mats) -> np.ndarray:
     return stack
 
 
+def _immutable(self, *args) -> NoReturn:
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class StarAlgebra:
     """Unital *-closed subalgebra of n x n complex matrices.
 
@@ -54,24 +59,28 @@ class StarAlgebra:
     ``generate_algebra`` establishes it by construction; a caller who
     builds an instance directly must supply such a pair, because the
     commutant is computed from the generators alone.  Neither array can
-    change, so the commutant and the certified identity are cached on the
-    instance.
+    change and an instance is immutable, so the commutant and the
+    certified identity are cached on it.
     """
 
+    __slots__ = ("dim", "generators", "basis", "_vec", "_commutant", "_identity")
+    __setattr__ = __delattr__ = _immutable
+
     def __init__(self, dim: int, generators, basis):
-        self.dim = int(dim)
-        self.generators = _stack(self.dim, generators)
-        self.basis = _stack(self.dim, basis)
+        dim = int(dim)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "generators", _stack(dim, generators))
+        object.__setattr__(self, "basis", _stack(dim, basis))
         # rows are trace-orthonormal iff they are orthonormal as vectors
-        self._vec = self.basis.reshape(len(self.basis), self.dim * self.dim)
+        object.__setattr__(self, "_vec", self.basis.reshape(len(self.basis), dim * dim))
+        object.__setattr__(self, "_commutant", None)
+        # the certified identity group element, kept by laurent.ppu_t_power
+        object.__setattr__(self, "_identity", None)
         gram = self._vec.conj() @ self._vec.T
         if mat_residual(gram, np.eye(len(self.basis))) > tolerances().eq:
             raise InputError("algebra basis is not trace-orthonormal")
         if self.membership_residual(np.eye(self.dim)) > tolerances().eq:
             raise InputError("identity is not in the span of the basis")
-        self._commutant = None
-        # the certified identity group element, kept by laurent.ppu_t_power
-        self._identity = None
 
     @property
     def linear_dim(self) -> int:
@@ -98,7 +107,7 @@ class StarAlgebra:
     @property
     def commutant(self) -> "StarAlgebra":
         if self._commutant is None:
-            self._commutant = commutant(self)
+            object.__setattr__(self, "_commutant", commutant(self))
         return self._commutant
 
     def same_span(self, other: "StarAlgebra") -> bool:

@@ -354,6 +354,18 @@ def reference_convolve(a, b):
     return exponents, out
 
 
+def reference_scattered(dim, parts):
+    """The sum of ``(exponents, stack)`` parts: zeros, then one indexed
+    in-place add per part, in the order given.  Returns the sorted
+    exponents and the untrimmed stack."""
+    exponents = tuple(sorted({e for exps, _ in parts for e in exps}))
+    out = np.zeros((len(exponents), dim, dim), dtype=np.complex128)
+    row = {e: i for i, e in enumerate(exponents)}
+    for exps, stack in parts:
+        out[[row[e] for e in exps]] += stack
+    return exponents, out
+
+
 def reference_elementary(s, power=1):
     proj = s.projector()
     return ReferenceLaurent(s.ambient_dim, {power: proj, 0: np.eye(s.ambient_dim) - proj})

@@ -3,6 +3,8 @@ implementations in ``conftest`` (dict per coefficient, pair-loop products
 with explicit elementary factors, heads met by three SVDs).  The Cauchy
 product must also match the pair loop over two stacks bitwise."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from conftest import (
     reference_join,
     reference_meet,
     reference_random_ppu,
+    reference_scattered,
 )
 
 SCALES = [1.0, 1e-300, 1e-163, 1e200]
@@ -27,6 +30,17 @@ DIMS = [1, 2, 4, 7]
 # (terms of a, terms of b): lopsided, long and zero operands
 SHAPES = [(1, 30), (30, 1), (30, 2), (30, 31), (0, 30)]
 SHAPE_DIMS = [1, 2, 4, 6, 7, 8]
+# (dims, shape, which operands have consecutive exponents): products of
+# degree-one factors have contiguous supports, which random ones rarely have
+CONTIGUOUS_SHAPES = [
+    ((3,), (1, 1), (True, True)),
+    ((3,), (2, 1), (True, True)),
+    ((3,), (2, 2), (True, True)),
+    ((4, 8), (25, 1), (True, True)),
+    ((4, 8), (25, 2), (True, True)),
+    ((4, 8), (25, 26), (True, True)),
+    ((4, 8), (25, 30), (True, False)),
+]
 
 
 def big_shift(rng):
@@ -34,17 +48,18 @@ def big_shift(rng):
     return int(rng.integers(-(10**6), 10**6)) * 10**24
 
 
-def random_coeffs(rng, n, scale, terms=None):
+def random_coeffs(rng, n, scale, terms=None, contiguous=False):
     """Up to 8 terms spread over 12 decades, some below the trim, at an offset up to 1e30.
 
-    Given ``terms``, exactly that many spread over 6 decades, so the trim keeps them all.
+    Given ``terms``, exactly that many spread over 6 decades, so the trim keeps them all,
+    at consecutive exponents if ``contiguous``.
     """
     if terms is None:
         t, decades = int(rng.integers(1, 9)), 12.0
     else:
         t, decades = terms, 6.0
     offset = big_shift(rng)
-    exps = rng.choice(40, size=t, replace=False) - 20
+    exps = np.arange(t) - 20 if contiguous else rng.choice(40, size=t, replace=False) - 20
     mags = 10.0 ** rng.uniform(-decades, 0.0, size=t)
     return {offset + int(e): scale * m * rand_matrix(rng, n, n) for e, m in zip(exps, mags)}
 
@@ -74,20 +89,29 @@ def cases():
 
 
 def product_cases():
-    """``cases()`` with random term counts, then each of ``SHAPES``."""
+    """``cases()`` with random term counts, then each of ``SHAPES`` and ``CONTIGUOUS_SHAPES``."""
     for case in cases():
-        yield pytest.param(*case.values, None, id=case.id)
+        yield pytest.param(*case.values, None, None, id=case.id)
     for n in SHAPE_DIMS:
         for scale in (1.0, 1e-163):
             for shape in SHAPES:
-                yield pytest.param(n, scale, 0, shape, id=f"n{n}-{scale:g}-{shape[0]}x{shape[1]}")
+                yield pytest.param(n, scale, 0, shape, None,
+                                   id=f"n{n}-{scale:g}-{shape[0]}x{shape[1]}")
+    for dims, shape, contiguous in CONTIGUOUS_SHAPES:
+        for n in dims:
+            for scale in (1.0, 1e-163):
+                kinds = "x".join("contiguous" if c else "gapped" for c in contiguous)
+                yield pytest.param(n, scale, 0, shape, contiguous,
+                                   id=f"n{n}-{scale:g}-{shape[0]}x{shape[1]}-{kinds}")
 
 
-@pytest.mark.parametrize("n, scale, draw, shape", product_cases())
-def test_construction_and_products_match_the_reference(n, scale, draw, shape):
+@pytest.mark.parametrize("n, scale, draw, shape, contiguous", product_cases())
+def test_construction_and_products_match_the_reference(n, scale, draw, shape, contiguous):
     rng = np.random.default_rng([n, draw, 61])
     terms_a, terms_b = shape or (None, None)
-    a, b = random_coeffs(rng, n, scale, terms_a), random_coeffs(rng, n, scale, terms_b)
+    contiguous_a, contiguous_b = contiguous or (False, False)
+    a = random_coeffs(rng, n, scale, terms_a, contiguous_a)
+    b = random_coeffs(rng, n, scale, terms_b, contiguous_b)
     op_a, ref_a = built(LaurentOp, n, a), built(ReferenceLaurent, n, a)
     op_b, ref_b = built(LaurentOp, n, b), built(ReferenceLaurent, n, b)
     for op, ref in ((op_a, ref_a), (op_b, ref_b)):
@@ -99,6 +123,8 @@ def test_construction_and_products_match_the_reference(n, scale, draw, shape):
         return
     if shape is not None:
         assert (len(op_a.exponents), len(op_b.exponents)) == shape
+    if contiguous is not None:
+        assert tuple(op.hi - op.lo == len(op.exponents) - 1 for op in (op_a, op_b)) == contiguous
     with np.errstate(under="ignore"):
         assert_same(op_a * op_b, ref_a * ref_b)
         assert_same(op_b * op_a.star(), ref_b * ref_a.star())
@@ -111,6 +137,55 @@ def test_construction_and_products_match_the_reference(n, scale, draw, shape):
     k = big_shift(rng)
     assert_same(op_a.shifted(k), ref_a.shifted(k))
     assert_same(op_a.star(), ref_a.star())
+
+
+def consecutive(exponents, exps):
+    """Do ``exps`` fill consecutive rows of ``exponents``, so ``_scattered`` adds them as a slice?"""
+    rows = [exponents.index(e) for e in exps]
+    return rows == list(range(rows[0], rows[0] + len(rows)))
+
+
+def assert_same_sum(op, dim, parts):
+    """``op`` is the trimmed reference sum of the parts, bit for bit."""
+    ref = LaurentOp._make(dim, *reference_scattered(dim, parts))
+    assert op.exponents == ref.exponents
+    assert op.stack.tobytes() == ref.stack.tobytes()
+
+
+# supports of two operands, and whether each fills consecutive rows of their union
+SUM_SUPPORTS = [
+    ((0, 1, 2), (1, 2, 3), (True, True)),
+    ((0, 2, 5), (1, 3, 4), (False, False)),
+    ((0, 2), (1,), (False, True)),
+    ((-3, -2), (0, 1, 2), (True, True)),
+    ((-3, 4), (0, 1, 2), (False, True)),
+]
+
+
+@pytest.mark.parametrize("left, right, paths", SUM_SUPPORTS)
+def test_sums_add_each_part_as_the_reference_does(left, right, paths):
+    rng = np.random.default_rng([len(left), len(right), 64])
+    n = 3
+    ops = [LaurentOp(n, {e: 10.0 ** rng.uniform(-6, 0) * rand_matrix(rng, n, n) for e in exps})
+           for exps in (left, right)]
+    parts = [(op.exponents, op.stack) for op in ops]
+    union = tuple(sorted(set(left) | set(right)))
+    assert tuple(consecutive(union, exps) for exps, _ in parts) == paths
+    assert_same_sum(ops[0] + ops[1], n, parts)
+    # three parts, so the order of the additions shows in the bits
+    parts.append((union, rand_matrix(rng, len(union) * n, n).reshape(-1, n, n)))
+    exponents, stack = laurent._scattered(n, parts)
+    ref_exponents, ref_stack = reference_scattered(n, parts)
+    assert exponents == ref_exponents
+    assert stack.tobytes() == ref_stack.tobytes()
+    # a product with p = t^power proj + (1 - proj) adds two shifted copies
+    proj = pu.orthonormal_basis(rand_matrix(rng, n, 2)).projector()
+    for op in ops:
+        for power, on_left in itertools.product((1, -1), (False, True)):
+            terms = [(0, np.eye(n) - proj), (power, proj)]
+            parts = [(tuple(e + k for e in op.exponents), c @ op.stack if on_left else op.stack @ c)
+                     for k, c in terms]
+            assert_same_sum(op.times_elementary(proj, power, on_left), n, parts)
 
 
 @pytest.mark.parametrize("n, scale, draw", cases())

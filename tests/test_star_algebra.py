@@ -227,6 +227,21 @@ class TestStorage:
         with pytest.raises(ValueError, match="read-only"):
             a.basis[0][...] = 0
 
+    def test_an_algebra_refuses_reassignment(self):
+        # a reassigned basis would leave _vec and the caches on the old algebra
+        a, b = diag_algebra(3), full_algebra(3, seed=30)
+        # fill both caches
+        assert a.commutant.linear_dim == 3
+        pu.ppu_t_power(a, 0)
+        for attr in ("dim", "generators", "basis", "_vec", "_commutant", "_identity"):
+            with pytest.raises(AttributeError):
+                setattr(a, attr, getattr(b, attr))
+            with pytest.raises(AttributeError):
+                delattr(a, attr)
+        with pytest.raises(AttributeError):
+            a.extra = None
+        assert a.membership_residual(a.basis) <= 1e-12
+
     def test_a_caller_edit_of_a_generator_leaves_the_algebra_alone(self):
         g = np.diag([1, 2, 3]).astype(complex)
         a = pu.generate_algebra(3, [g])
