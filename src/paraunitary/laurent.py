@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import sys
 import types
 from typing import NoReturn
 
@@ -239,8 +240,10 @@ def _powers(z: complex, exponents) -> np.ndarray:
     only to about ulp(arg z), and its modulus is off 1 by up to |log |z||;
     ``z ** e`` multiplies both errors by ``|e|``, so beyond ``|e| = eq /
     max(ulp(arg z), |log |z||)`` the value is rounding noise, and such an
-    exponent is a ``NumericalError``.  Within that horizon ``|z ** e|``
-    stays within about ``eq`` of 1, so no power overflows.
+    exponent is a ``NumericalError``, as is one past the largest float.
+    Within that horizon ``|z ** e|`` stays within about ``eq`` of 1, so no
+    power overflows.  The message names ``floor(horizon)``, or its leading
+    three digits, truncated, once it is longer than 15 digits.
     """
     z = complex(z)
     if not abs(abs(z) - 1.0) <= tolerances().eq:  # NaN fails too
@@ -248,9 +251,11 @@ def _powers(z: complex, exponents) -> np.ndarray:
     if z == 1:
         return np.ones(len(exponents), dtype=np.complex128)
     error = max(math.ulp(abs(cmath.phase(z))), abs(math.log(abs(z))))
-    horizon = tolerances().eq / error
+    horizon = min(tolerances().eq / error, sys.float_info.max)
     if any(abs(e) > horizon for e in exponents):
-        raise NumericalError(f"z ** e is rounding noise beyond |e| = {math.floor(horizon)}")
+        d = str(math.floor(horizon))  # decimal digits
+        shown = d if len(d) <= 15 else f"{d[0]}.{d[1:3]}e{len(d) - 1}"
+        raise NumericalError(f"z ** e is rounding noise beyond |e| = {shown}")
     return np.array([z ** e for e in exponents], dtype=np.complex128)
 
 

@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_module(relpath):
-    """Import a file of the repository that is not on the path, e.g. a script."""
+    """Import a file of the repository that is not on the path, e.g. a bench module."""
     path = ROOT / relpath
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
@@ -98,26 +98,40 @@ def full_algebra(n, seed=0):
     return a
 
 
-def block_algebra(sizes, seed=0):
-    """Direct sum of full matrix blocks of the given sizes."""
-    n = sum(sizes)
-    rng = np.random.default_rng([seed, 78])
+def block_diagonal_algebra(blocks):
+    """The algebra generated by one matrix with these square diagonal blocks."""
+    n = sum(len(b) for b in blocks)
     gen = np.zeros((n, n), dtype=complex)
     at = 0
-    for s in sizes:
-        gen[at : at + s, at : at + s] = rand_matrix(rng, s, s)
-        at += s
+    for b in blocks:
+        gen[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
     return pu.generate_algebra(n, [gen])
+
+
+def block_algebra(sizes, seed=0):
+    """Direct sum of full matrix blocks of the given sizes."""
+    rng = np.random.default_rng([seed, 78])
+    return block_diagonal_algebra([rand_matrix(rng, s, s) for s in sizes])
 
 
 def doubled_algebra(k, seed=0):
     """Matrices of the form x + x (two equal blocks); big commutant."""
-    rng = np.random.default_rng([seed, 79])
-    x = rand_matrix(rng, k, k)
-    gen = np.zeros((2 * k, 2 * k), dtype=complex)
-    gen[:k, :k] = x
-    gen[k:, k:] = x
-    return pu.generate_algebra(2 * k, [gen])
+    x = rand_matrix(np.random.default_rng([seed, 79]), k, k)
+    return block_diagonal_algebra([x, x])
+
+
+def five_shapes(seed):
+    """The scalars on C^2, diag(1, 2, 3), M_3, M_2 + M_3 and M_2 doubled."""
+    rng = np.random.default_rng([seed, 7])
+    x, b2, b3, f3 = (rand_matrix(rng, s, s) for s in (2, 2, 3, 3))
+    return {
+        "scalars_c2": pu.generate_algebra(2, []),
+        "diagonal_c3": pu.generate_algebra(3, [np.diag([1.0, 2.0, 3.0])]),
+        "full_m3": pu.generate_algebra(3, [f3]),
+        "block_2_3": block_diagonal_algebra([b2, b3]),
+        "doubled_m2": block_diagonal_algebra([x, x]),
+    }
 
 
 def random_algebra(n, seed):

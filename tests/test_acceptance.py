@@ -51,13 +51,6 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _sample_element(a, seed, *path, max_k=4, shift_lo=0, shift_hi=3):
-    rng = np.random.default_rng([seed, *path])
-    k = int(rng.integers(0, max_k))
-    shift = int(rng.integers(shift_lo, shift_hi))
-    return pu.random_ppu(a, k, shift, seed=int(rng.integers(2**63)))
-
-
 def test_criterion_1_factorization_roundtrip(algebras, algebra_files):
     root, alg_paths = algebra_files
     element_path = root / "element.json"
@@ -140,11 +133,11 @@ def test_criterion_2_order_embedding(algebras):
     checked = 0
     for n, a in algebras.items():
         for i in range(40):
-            g = _sample_element(a, 12, n, i, 0)
+            g = axioms._random_element(a, 12, n, i, 0)
             if i % 2 == 0:
-                h = g * _sample_element(a, 12, n, i, 1, shift_hi=1)  # g <= h
+                h = g * axioms._random_element(a, 12, n, i, 1, shifts=(0, 1))  # g <= h
             else:
-                h = _sample_element(a, 12, n, i, 2)
+                h = axioms._random_element(a, 12, n, i, 2)
             lo, hi = min(g.lo, h.lo), max(g.hi, h.hi)
             wg = oracle_window(g, lo, hi)
             wh = oracle_window(h, lo, hi)
@@ -159,7 +152,7 @@ def test_criterion_3_window_bijectivity(algebras):
     worst = 0.0
     for n, a in algebras.items():
         for i in range(40):
-            el = _sample_element(a, 13, n, i, max_k=5)
+            el = axioms._random_element(a, 13, n, i, max_factors=5)
             window = oracle_window(el, el.lo, el.hi)
             back = kron_peel(window)
             worst = max(worst, kron_stability_residual(window), back.distance(el.op))
@@ -170,8 +163,8 @@ def test_criterion_4_lattice_laws(algebras):
     worst = 0.0
     for n, a in algebras.items():
         for i in range(40):  # 200 pairs: commutativity and absorption
-            g = _sample_element(a, 14, n, i, 0)
-            h = _sample_element(a, 14, n, i, 1)
+            g = axioms._random_element(a, 14, n, i, 0)
+            h = axioms._random_element(a, 14, n, i, 1)
             worst = max(
                 worst,
                 pu.meet(g, h).op.distance(pu.meet(h, g).op),
@@ -180,18 +173,18 @@ def test_criterion_4_lattice_laws(algebras):
                 pu.meet(g, pu.join(g, h)).op.distance(g.op),
             )
         for i in range(20):  # 100 triples: associativity
-            g = _sample_element(a, 15, n, i, 0, max_k=3)
-            h = _sample_element(a, 15, n, i, 1, max_k=3)
-            k = _sample_element(a, 15, n, i, 2, max_k=3)
+            g = axioms._random_element(a, 15, n, i, 0, max_factors=3)
+            h = axioms._random_element(a, 15, n, i, 1, max_factors=3)
+            k = axioms._random_element(a, 15, n, i, 2, max_factors=3)
             worst = max(
                 worst,
                 pu.meet(pu.meet(g, h), k).op.distance(pu.meet(g, pu.meet(h, k)).op),
                 pu.join(pu.join(g, h), k).op.distance(pu.join(g, pu.join(h, k)).op),
             )
         for i in range(20):  # 100 triples: left-translation compatibility
-            chi = _sample_element(a, 16, n, i, 0, max_k=3)
-            g = _sample_element(a, 16, n, i, 1, max_k=3)
-            h = _sample_element(a, 16, n, i, 2, max_k=3)
+            chi = axioms._random_element(a, 16, n, i, 0, max_factors=3)
+            g = axioms._random_element(a, 16, n, i, 1, max_factors=3)
+            h = axioms._random_element(a, 16, n, i, 2, max_factors=3)
             worst = max(
                 worst,
                 pu.meet(chi * g, chi * h).op.distance((chi * pu.meet(g, h)).op),
@@ -261,7 +254,7 @@ def test_criterion_8_specializations(algebras):
     elements = []
     for n, a in algebras.items():
         for i in range(20):
-            elements.append(_sample_element(a, 25, n, i))
+            elements.append(axioms._random_element(a, 25, n, i))
     assert len(elements) == 100
     for z in zs:
         for el in elements:

@@ -1,5 +1,7 @@
 import argparse
 import json
+import re
+import shlex
 import time
 
 import numpy as np
@@ -11,7 +13,7 @@ from paraunitary.cli import main
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import full_subspace
 
-from conftest import contains, diag_algebra, load_module, run_python
+from conftest import ROOT, contains, diag_algebra, load_module, run_python
 
 
 @pytest.fixture
@@ -311,6 +313,33 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "eval": sorted(_EVERY_COMMAND + ["--z"]),
     }
     assert sum(map(len, flags.values())) == 32
+
+
+def test_readme_command_lines_parse():
+    """Every ``paraunitary`` line of the README's ``sh`` blocks is a valid call."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    argvs = [shlex.split(line, comments=True) for b in blocks for line in b.splitlines()]
+    calls = [argv[1:] for argv in argvs if argv[:1] == ["paraunitary"]]
+    assert len(calls) == 11
+    for argv in calls:
+        cli.build_parser().parse_args(argv)
+
+
+def test_readme_desk_experiment_factors_its_element_back(capsys, tmp_path, monkeypatch):
+    """The README's desk experiment runs as written, and the peel reassembles."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Desk experiments.*?```sh\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    residuals = []
+    for argv in (shlex.split(line, comments=True) for line in block[1].splitlines()):
+        if argv[0] == "echo":  # echo '<json>' > algebra.json
+            (tmp_path / argv[3]).write_text(argv[1])
+        elif argv[0] == "paraunitary":
+            code, _, err = run_cli(capsys, *argv[1:])
+            assert code == 0, err
+            if argv[1] == "factor":
+                residuals.append(json.loads(err)["reconstruction_residual"])
+    assert len(residuals) == 1 and residuals[0] <= 1e-8
 
 
 def _calls_across_commands(files):

@@ -1,4 +1,6 @@
+import cmath
 import math
+import sys
 import time
 import tracemalloc
 
@@ -149,6 +151,18 @@ class TestEval:
         for e in (10**30, 10**400):
             with pytest.raises(NumericalError, match="rounding noise"):
                 LaurentOp(1, {e: np.eye(1)}).eval_at(1.000000001)
+
+    def test_long_horizon_is_named_by_a_short_lower_bound(self):
+        # arg z = 1e-300 is known to an ulp of about 1.5e-316, so the horizon
+        # has 308 digits; at 1e-320 it passes the largest float, 1.79e308
+        for phase in (1e-300, 1e-320):
+            horizon = min(pu.tolerances().eq / math.ulp(phase), sys.float_info.max)
+            with pytest.raises(NumericalError, match="rounding noise") as info:
+                LaurentOp(1, {10**400: np.eye(1)}).eval_at(cmath.exp(phase * 1j))
+            message = str(info.value)
+            assert len(message) < 100
+            named = float(message.rpartition("= ")[2])
+            assert 0.99 * horizon <= named <= horizon
 
 
 class TestPredicates:

@@ -24,6 +24,7 @@ from conftest import (
     diag_algebra,
     doubled_algebra,
     each_algebra_kind,
+    five_shapes,
     full_algebra,
     load_module,
     rand_matrix,
@@ -136,9 +137,8 @@ def oracle_cases():
         for spec in BENCH_SPECS:
             n, gens = inputs.algebra_generators(spec, seed)
             cases.append(pytest.param(n, gens, id=f"{spec}/{seed}"))
-    suite = load_module("scripts/run_axiom_suite.py")
     for seed in (0, 1):
-        for name, a in suite.build_algebras(seed).items():
+        for name, a in five_shapes(seed).items():
             cases.append(pytest.param(a.dim, a.generators, id=f"{name}/{seed}"))
     return cases
 
@@ -264,6 +264,21 @@ class TestCommutant:
         assert c.linear_dim == 3
         assert contains(c, np.diag([1.0, 5.0, 7.0]))
         assert not contains(c, np.eye(3, k=1))
+
+    @pytest.mark.parametrize(
+        "name, linear_dim, commutant_dim",
+        [
+            ("scalars_c2", 1, 4),
+            ("diagonal_c3", 3, 3),
+            ("full_m3", 9, 1),
+            ("block_2_3", 13, 2),
+            ("doubled_m2", 4, 4),
+        ],
+    )
+    def test_five_shapes_have_their_known_commutant(self, name, linear_dim, commutant_dim):
+        a = five_shapes(0)[name]
+        assert a.linear_dim == linear_dim
+        assert a.commutant.linear_dim == commutant_dim
 
     @pytest.mark.parametrize(
         "algebra",
