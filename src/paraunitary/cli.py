@@ -52,22 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paraunitary",
         description="Factor, order, and verify pure paraunitary operator polynomials.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # an abbreviated flag is a usage error, never taken for the flag it begins
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("factor", help="factor an element into elementary factors")
+    p = add("factor", help="factor an element into elementary factors")
     p.add_argument("algebra")
     p.add_argument("element")
     _add_common(p, _cmd_factor)
 
-    p = sub.add_parser("lattice", help="meet, join, or compare two elements")
+    p = add("lattice", help="meet, join, or compare two elements")
     p.add_argument("op", choices=("meet", "join", "leq"))
     p.add_argument("algebra")
     p.add_argument("a")
     p.add_argument("b")
     _add_common(p, _cmd_lattice)
 
-    p = sub.add_parser("verify", help="run the axiom checks on an algebra")
+    p = add("verify", help="run the axiom checks on an algebra")
     p.add_argument("algebra")
     p.add_argument("--checks", default=None,
                    help="comma-separated subset of: " + ", ".join(axioms.CHECK_NAMES))
@@ -78,18 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="root PRNG seed")
     _add_common(p, _cmd_verify)
 
-    p = sub.add_parser("random", help="emit a seeded random group element")
+    p = add("random", help="emit a seeded random group element")
     p.add_argument("algebra")
     p.add_argument("--factors", type=int, default=3)
     p.add_argument("--shift", type=int, default=0)
     p.add_argument("--seed", type=int, default=0, help="root PRNG seed")
     _add_common(p, _cmd_random)
 
-    p = sub.add_parser("commutant", help="emit a basis of the commutant")
+    p = add("commutant", help="emit a basis of the commutant")
     p.add_argument("algebra")
     _add_common(p, _cmd_commutant)
 
-    p = sub.add_parser("eval", help="evaluate an element at a unit-circle point")
+    p = add("eval", help="evaluate an element at a unit-circle point")
     p.add_argument("element")
     p.add_argument("--z", default="1", help="evaluation point, Python complex syntax")
     _add_common(p, _cmd_eval)

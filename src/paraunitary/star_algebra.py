@@ -1,10 +1,11 @@
 """Generated unital *-closed matrix algebras and their invariant subspaces.
 
 An algebra is carried by a linear basis that is orthonormal under the
-trace inner product ``<a, b> = tr(a^* b)``; no block-decomposition
-structure theory is ever assumed.  The lattice of subspaces invariant
-under the commutant (equivalently: whose projector lies in the algebra)
-is the orthomodular lattice all higher layers are built on.
+trace inner product ``<a, b> = tr(a^* b)``; no block decomposition is
+ever computed, and the structure theorem enters only the proof that the
+commutant is the range of one Hermitian map.  The lattice of subspaces
+invariant under the commutant (equivalently: whose projector lies in the
+algebra) is the orthomodular lattice all higher layers are built on.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from .numfield import (
     InputError,
     NumericalError,
     Subspace,
+    _rank_from_singular_values,
     as_matrix,
     frob,
     join_subspace,
-    kernel,
     mat_residual,
     meet_subspace,
     ortho_complement,
@@ -38,10 +39,16 @@ CLUSTER_GAP = 1e-6
 
 def _stack(n: int, mats) -> np.ndarray:
     """Read-only ``(k, n, n)`` copy of finite complex ``n x n`` matrices."""
-    mats = [as_matrix(m) for m in mats]
-    if any(m.shape != (n, n) for m in mats):
+    try:
+        stack = np.array(mats, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:  # ragged or not numeric
+        raise InputError("algebra elements must be square of the ambient size") from exc
+    if stack.shape == (0,):
+        stack = stack.reshape(0, n, n)
+    if stack.ndim != 3 or stack.shape[1:] != (n, n):
         raise InputError("algebra elements must be square of the ambient size")
-    stack = np.array(mats, dtype=np.complex128).reshape(len(mats), n, n)
+    if not np.isfinite(stack).all():
+        raise InputError("matrix has non-finite entries")
     stack.flags.writeable = False
     return stack
 
@@ -58,9 +65,10 @@ class StarAlgebra:
     basis spans the unital *-closure of the generators.
     ``generate_algebra`` establishes it by construction; a caller who
     builds an instance directly must supply such a pair, because the
-    commutant is computed from the generators alone.  Neither array can
-    change and an instance is immutable, so the commutant and the
-    certified identity are cached on it.
+    commutant is computed from the basis and only checked against the
+    generators, which cannot catch a basis larger than their closure.
+    Neither array can change and an instance is immutable, so the
+    commutant and the certified identity are cached on it.
     """
 
     __slots__ = ("dim", "generators", "basis", "_vec", "_commutant", "_identity")
@@ -131,15 +139,19 @@ class StarAlgebra:
         return f"StarAlgebra(dim={self.dim}, linear_dim={self.linear_dim})"
 
 
-def _seed_span(n: int, gens) -> np.ndarray:
-    """Trace-orthonormal basis of span{1, g, g^* : g in gens}, one vec per row.
+def _peak_scaled(gens) -> list[np.ndarray]:
+    """Each nonzero generator divided by its largest absolute entry.
 
-    Each nonzero generator is divided by its largest absolute entry first,
-    so the rank decision sees every generator at the scale of the identity,
-    whatever its norm, and no norm overflows.
+    The closure's rank decision and the commutant's certificate see every
+    generator at the scale of the identity, whatever its norm, and no
+    norm overflows.
     """
-    unit = [g / peak for g in gens if (peak := np.abs(g).max(initial=0.0)) > 0.0]
-    mats = [np.eye(n)] + [m for g in unit for m in (g, g.conj().T)]
+    return [g / peak for g in gens if (peak := np.abs(g).max(initial=0.0)) > 0.0]
+
+
+def _seed_span(n: int, gens) -> np.ndarray:
+    """Trace-orthonormal basis of span{1, g, g^* : g in gens}, one vec per row."""
+    mats = [np.eye(n)] + [m for g in _peak_scaled(gens) for m in (g, g.conj().T)]
     return orthonormal_basis(np.reshape(mats, (len(mats), n * n)).T).frame.T
 
 
@@ -195,30 +207,44 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
 
 
 def commutant(a: StarAlgebra) -> StarAlgebra:
-    """All matrices commuting with the algebra.
+    """All matrices commuting with the algebra: the range of Phi(x) = sum_b b x b^*.
 
-    Solves x g = g x for every g of a fixed family as one stacked kernel
-    problem: in row-major vec, x -> gx - xg has the entry
-    g[i, p] d[j, q] - d[i, p] g[q, j] at row (i, j), column (p, q), with d
-    the Kronecker delta.
-    The algebra is the unital *-closure of its generators, and whatever
-    commutes with g and g^* commutes with every product of them, so the
-    generators and their adjoints fix the same commutant as the whole
-    basis.  They enter through the span that seeds ``generate_algebra``,
-    so a generator the closure dropped as numerically scalar is dropped
-    here too, whatever its norm.  The identity commutes with everything,
-    so only the traceless part of that span is stacked: at most
-    2 |gens| n^2 rows, which is 98 instead of 2401 for full M_7.
+    b runs over the trace-orthonormal basis, and Phi does not depend on
+    which one.  In row-major vec, Phi has the entry
+    sum_b b[i, p] conj(b[j, q]) at row (i, j), column (p, q): one
+    ``(n^2, L) @ (L, n^2)`` product whose axes are then reshuffled.  With
+    the algebra written as the sum of the M_{d_k} (x) 1_{m_k}, Phi is
+    self-adjoint, vanishes off the commutant, and on its summand
+    1_{d_k} (x) M_{m_k} equals d_k / m_k >= 1/n.  So its spectrum lies in
+    {0} and [1/n, n], and the eigenvectors of one ``eigh`` that pass the
+    rank cutoff are an orthonormal basis of the commutant.
+
+    Two checks certify the answer, each raising ``NumericalError``: no
+    kept eigenvalue may lie below 1/(2n), and every kept direction must
+    commute, within ``eq``, with every generator divided by its largest
+    entry, which ties the commutant to the generators.
     """
     n = a.dim
-    eye = np.eye(n, dtype=np.complex128)
-    seed = _seed_span(n, a.generators).reshape(-1, n, n)
-    traceless = seed - np.trace(seed, axis1=1, axis2=2)[:, None, None] / n * eye
-    fixed = orthonormal_basis(traceless.reshape(-1, n * n).T).frame.T.reshape(-1, n, n)
-    stacked = (
-        np.einsum("aip,jq->aijpq", fixed, eye) - np.einsum("ip,aqj->aijpq", eye, fixed)
-    ).reshape(-1, n * n)
-    basis = kernel(stacked).frame.T.reshape(-1, n, n)
+    # one expression, so the product is freed once it has been reshuffled
+    phi = (a._vec.T @ a._vec.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, -1)
+    vals, vecs = np.linalg.eigh(phi)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    rank = _rank_from_singular_values(vals)
+    if rank and vals[rank - 1] < 0.5 / n:
+        raise NumericalError(
+            f"commutant is ambiguous: Phi has an eigenvalue {vals[rank - 1]:.1e} "
+            f"between the rank cutoff and 1/(2n) = {0.5 / n:.1e}"
+        )
+    basis = vecs[:, :rank].T.reshape(rank, n, n)
+    # one batched product per generator, so memory does not grow with their count
+    residual = 0.0
+    for g in _peak_scaled(a.generators):
+        moved = np.linalg.norm(g @ basis - basis @ g, axis=(1, 2))
+        residual = max(residual, float(moved.max(initial=0.0)))
+    if residual > tolerances().eq:
+        raise NumericalError(
+            f"commutant does not commute with the generators: residual {residual:.3e}"
+        )
     return StarAlgebra(n, basis, basis)
 
 

@@ -291,6 +291,21 @@ def test_flags_a_command_does_not_read_are_usage_errors(files, capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize(
+    "argv, full",
+    [(["verify", "alg.json", "--checks", "order_unit", "--sam", "25"], "--samples"),
+     (["commutant", "alg.json", "--tol-r", "1e-9"], "--tol-rank")],
+    ids=["verify-samples", "commutant-tol-rank"],
+)
+def test_abbreviated_flags_are_usage_errors(files, capsys, argv, full):
+    argv = [files.get(a, a) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+    code, out, err = run_cli(capsys, *argv[:-2], full, argv[-1])
+    assert code == 0 and out, err
+
+
 _EVERY_COMMAND = ["--out", "--tol-eq", "--tol-rank", "--tol-trim"]
 
 

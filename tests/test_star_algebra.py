@@ -10,6 +10,7 @@ from paraunitary.numfield import (
     InputError,
     NumericalError,
     _rank_from_singular_values,
+    as_matrix,
     frob,
     orthonormal_basis,
     subspace_residual,
@@ -242,6 +243,27 @@ class TestStorage:
             a.extra = None
         assert a.membership_residual(a.basis) <= 1e-12
 
+    def test_stacks_are_the_per_matrix_copies_bitwise(self):
+        rng = np.random.default_rng(41)
+        mats = [rand_matrix(rng, 3, 3), np.eye(3).tolist(), np.arange(9).reshape(3, 3)]
+        per_matrix = np.array([as_matrix(m) for m in mats])
+        a = pu.StarAlgebra(3, mats, [np.eye(3) / np.sqrt(3)])
+        assert a.generators.tobytes() == per_matrix.tobytes()
+        assert pu.StarAlgebra(3, [], [np.eye(3) / np.sqrt(3)]).generators.shape == (0, 3, 3)
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        [
+            ([np.eye(2), np.eye(3)], "square of the ambient size"),
+            ([np.ones((2, 3))], "square of the ambient size"),
+            ([np.diag([1.0, np.nan])], "non-finite"),
+        ],
+        ids=["ragged", "wrong-shape", "non-finite"],
+    )
+    def test_bad_stacks_are_input_errors(self, generators, message):
+        with pytest.raises(InputError, match=message):
+            pu.StarAlgebra(2, generators, [np.eye(2) / np.sqrt(2)])
+
     def test_a_caller_edit_of_a_generator_leaves_the_algebra_alone(self):
         g = np.diag([1, 2, 3]).astype(complex)
         a = pu.generate_algebra(3, [g])
@@ -321,6 +343,43 @@ class TestCommutantFromGenerators:
         dc = pu.commutant(c)
         assert dc.same_span(basis_commutant(reference))
         assert dc.same_span(algebra)
+
+    @pytest.mark.parametrize(
+        "n, first, second",
+        [
+            (3, np.diag([1.0, 2.0, 3.0]), np.diag([2.0, -1.0, 7.0])),
+            (
+                6,
+                np.kron(np.eye(2), rand_matrix(np.random.default_rng(42), 3, 3)),
+                np.kron(np.eye(2), rand_matrix(np.random.default_rng(43), 3, 3)),
+            ),
+        ],
+        ids=["diagonal", "doubled"],
+    )
+    def test_two_generators_of_one_algebra_give_one_commutant(self, n, first, second):
+        a, b = pu.generate_algebra(n, [first]), pu.generate_algebra(n, [second])
+        assert a.same_span(b)
+        assert pu.commutant(a).same_span(pu.commutant(b))
+
+    def test_a_basis_short_of_the_generators_is_a_numerical_error(self):
+        # the diagonal units span an algebra whose commutant, the diagonal
+        # algebra, does not commute with the all-ones generator
+        units = [np.diag(e) for e in np.eye(3)]
+        a = pu.StarAlgebra(3, [np.ones((3, 3))], units)
+        with pytest.raises(NumericalError, match="residual 2.000e"):
+            pu.commutant(a)
+
+    def test_a_basis_that_is_no_algebra_is_a_numerical_error(self):
+        # span{1, h}, h = diag(p, -q, q - p) of unit norm with pq = 1/3 - 0.01,
+        # is not closed under products; Phi(E_12) = (1/3 - pq) E_12 = 0.01 E_12
+        # lies inside the spectral gap
+        c = 1.0 / 3.0 - 0.01
+        plus, minus = np.sqrt(0.5 + 3.0 * c), np.sqrt(0.5 - c)
+        p, q = (plus + minus) / 2.0, (plus - minus) / 2.0
+        h = np.diag([p, -q, q - p])
+        a = pu.StarAlgebra(3, [h], [np.eye(3) / np.sqrt(3.0), h])
+        with pytest.raises(NumericalError, match="ambiguous: Phi has an eigenvalue 1.0e-02"):
+            pu.commutant(a)
 
     def test_full_m16_is_fast_and_small(self):
         # basis of matrix units, so generate_algebra's closure is not timed
