@@ -135,7 +135,7 @@ def _cmd_factor(args) -> int:
     # a shift changes no coefficient, so the product of the factors is
     # compared with the shifted input; factor_positive keeps that product
     residual = float((peeled.assembled.op - element.op).norms.max(initial=0.0))
-    if residual > tolerances().eq:
+    if not residual <= tolerances().eq:  # NaN fails too
         raise NumericalError(f"reconstruction residual {residual:.3e} exceeds tolerance")
     _emit(factor_list_to_json(result), args.out)
     sys.stderr.write(canonical_dumps({"reconstruction_residual": residual}) + "\n")
@@ -197,8 +197,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# an overflow is reported by the check that sees it, not also as a NumPy warning
-@np.errstate(over="ignore")
+# an overflow, or a NaN made from one, is reported by the check that sees
+# it (no residual check accepts a NaN), not also as a NumPy warning
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)

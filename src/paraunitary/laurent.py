@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 import sys
 import types
@@ -18,8 +19,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .numfield import InputError, NumericalError, as_matrix, frob, tolerances
-from .star_algebra import StarAlgebra, _immutable
+from .numfield import InputError, NumericalError, _immutable, as_matrix, frob, identity, tolerances
+from .star_algebra import StarAlgebra
 
 
 # below this, a sum of squares loses precision or underflows to 0
@@ -52,9 +53,9 @@ def _trim(exponents: tuple, stack: np.ndarray):
         # a norm this small may have lost its squares to underflow
         norms = _scaled_norms(stack)
         threshold = tolerances().trim * norms.max(initial=0.0)
-    keep = norms > threshold
-    if keep.all():
+    if norms.min(initial=math.inf) > threshold:
         return exponents, stack, norms
+    keep = norms > threshold
     kept = tuple([e for e, k in zip(exponents, keep.tolist()) if k])
     return kept, stack[keep], norms[keep]
 
@@ -131,7 +132,7 @@ class LaurentOp:
 
     @classmethod
     def t_power(cls, dim: int, k: int) -> "LaurentOp":
-        return cls(dim, {int(k): np.eye(dim)})
+        return cls(dim, {int(k): identity(dim)})
 
     @property
     def coeffs(self) -> types.MappingProxyType:
@@ -181,16 +182,26 @@ class LaurentOp:
         + (1 - proj) for every integer power.  Its two coefficients are
         trimmed as a dict-built p's are, so a projector within rounding of
         1 leaves no 1 - proj term, and each multiplies the whole stack in
-        one batched product.
+        one batched product.  When both terms survive, the support is
+        contiguous and ``|power| == 1``, the two products fill rows
+        ``0 .. t - 1`` and ``1 .. t`` of the sum in some order: they are
+        added into zeros as two slices, in the order of the terms, which
+        is what ``_scattered`` does, without its sort and search.
         """
-        terms = np.stack([np.eye(self.dim) - proj, proj])
+        terms = np.stack([identity(self.dim) - proj, proj])
         shifts, terms, _ = _trim((0, int(power)), terms)
+        products = [c @ self.stack if on_left else self.stack @ c for c in terms]
+        t = len(self.exponents)
+        if len(shifts) == 2 and shifts[1] in (1, -1) and t and self.hi - self.lo == t - 1:
+            out = np.zeros((t + 1, self.dim, self.dim), dtype=np.complex128)
+            first = int(shifts[1] == -1)  # row of the unshifted term's lo
+            out[first:first + t] += products[0]
+            out[1 - first:1 - first + t] += products[1]
+            lo = self.lo - first
+            return LaurentOp._make(self.dim, tuple(range(lo, lo + t + 1)), out)
         return _summed(
             self.dim,
-            *[
-                (_shift(self.exponents, k), c @ self.stack if on_left else self.stack @ c)
-                for k, c in zip(shifts, terms)
-            ],
+            *[(_shift(self.exponents, k), c) for k, c in zip(shifts, products)],
         )
 
     def shifted(self, k: int) -> "LaurentOp":
@@ -308,26 +319,43 @@ def _product_residual(op: LaurentOp) -> float:
     exponents, acc = _convolve(op.star(), op)
     if 0 not in exponents:
         return math.hypot(frob(acc), math.sqrt(op.dim))
-    acc[exponents.index(0)] -= np.eye(op.dim)
+    acc[exponents.index(0)] -= identity(op.dim)
     return frob(acc)
+
+
+def _dft(points: int, offsets) -> np.ndarray:
+    """exp(2 pi i j e / points) for j < points and e in ``offsets``."""
+    # reducing the phase mod points keeps every angle in [0, 2 pi)
+    turns = np.outer(np.arange(points), offsets) % points
+    return np.exp((2j * np.pi / points) * turns)
+
+
+@functools.lru_cache(maxsize=16)
+def _contiguous_dft(points: int, t: int) -> np.ndarray:
+    """``_dft(points, range(t))``, read-only and kept: a contiguous support
+    gives one matrix per term count, a gapped one is not kept."""
+    dft = _dft(points, np.arange(t))
+    dft.flags.writeable = False
+    return dft
 
 
 def _circle_residual(op: LaurentOp, points: int) -> float:
     """Root mean square of ||F(z)^H F(z) - 1||_F over the points-th roots of unity."""
-    # exponents relative to lo fit in int64 even when lo does not
-    offsets = [e - op.lo for e in op.exponents]
-    # reducing the phase mod points keeps every angle in [0, 2 pi)
-    turns = np.outer(np.arange(points), offsets) % points
-    dft = np.exp((2j * np.pi / points) * turns)
-    values = (dft @ op.stack.reshape(len(offsets), -1)).reshape(points, op.dim, op.dim)
+    t = len(op.exponents)
+    if op.hi - op.lo == t - 1:
+        dft = _contiguous_dft(points, t)
+    else:
+        # exponents relative to lo fit in int64 even when lo does not
+        dft = _dft(points, [e - op.lo for e in op.exponents])
+    values = (dft @ op.stack.reshape(t, -1)).reshape(points, op.dim, op.dim)
     gram = values.conj().swapaxes(1, 2) @ values
-    return frob(gram - np.eye(op.dim)) / math.sqrt(points)
+    return frob(gram - identity(op.dim)) / math.sqrt(points)
 
 
 def paraunitarity_residual(op: LaurentOp) -> float:
-    """||op* op - 1|| / max(1, ||op||^2), untrimmed.
+    """||op* op - 1|| / max(1, ||op||)^2, untrimmed.
 
-    This is also ||op op* - 1|| / max(1, ||op||^2): for a square matrix
+    This is also ||op op* - 1|| / max(1, ||op||)^2: for a square matrix
     A, A^H A and A A^H have the same eigenvalues, so ||A^H A - 1||_F =
     ||A A^H - 1||_F, at every point z of the unit circle and hence, by
     Parseval's identity below, over the coefficients.  So one side
@@ -351,14 +379,16 @@ def paraunitarity_residual(op: LaurentOp) -> float:
 
     Neither path trims: the residual is the exact l2 norm of the
     coefficients of op* op - 1, including those below the ``trim``
-    threshold that ``LaurentOp`` construction would drop.
+    threshold that ``LaurentOp`` construction would drop.  The scale is
+    divided out twice, never squared, since ||op||^2 may overflow.
     """
     points = 2 * (op.hi - op.lo) + 1
     if points <= len(op.exponents) ** 2:
         residual = _circle_residual(op, points)
     else:
         residual = _product_residual(op)
-    return residual / max(1.0, op.norm() ** 2)
+    scale = max(1.0, op.norm())
+    return residual / scale / scale
 
 
 def is_paraunitary(op: LaurentOp) -> bool:
@@ -367,7 +397,7 @@ def is_paraunitary(op: LaurentOp) -> bool:
 
 def purity_residual(op: LaurentOp) -> float:
     total = op.stack.sum(axis=0)
-    return frob(total - np.eye(op.dim)) / max(1.0, frob(total))
+    return frob(total - identity(op.dim)) / max(1.0, frob(total))
 
 
 def is_pure(op: LaurentOp) -> bool:
@@ -416,7 +446,7 @@ class PpuElement:
         """Keep ``op`` if every residual is within the active ``eq``, else raise."""
         eq = tolerances().eq
         for name, value in residuals.items():
-            if value > eq:
+            if not value <= eq:  # NaN fails too
                 raise NumericalError(f"{name} residual {value:.3e} exceeds tolerance")
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "algebra", algebra)

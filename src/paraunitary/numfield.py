@@ -11,7 +11,9 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
+import functools
 import math
+from typing import NoReturn
 
 import numpy as np
 
@@ -22,6 +24,10 @@ class InputError(ValueError):
 
 class NumericalError(RuntimeError):
     """Validation or numerical-consistency failure (CLI exit code 1)."""
+
+
+def _immutable(self, *args) -> NoReturn:
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,6 +82,18 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=64)
+def identity(n: int) -> np.ndarray:
+    """The real ``n x n`` identity, read-only, built once per ``n``.
+
+    ``identity(n) - p`` is bitwise ``np.eye(n) - p`` for a complex ``p``:
+    the real identity is widened to complex before the subtraction.
+    """
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def frob(m) -> float:
     return float(np.linalg.norm(m))
 
@@ -99,16 +117,26 @@ def _rank_from_singular_values(s: np.ndarray, scale: float | None = None) -> int
 
 
 class Subspace:
-    """Closed subspace of C^n held as a frame with orthonormal columns."""
+    """Closed subspace of C^n held as a frame with orthonormal columns.
 
-    __slots__ = ("frame",)
+    The frame is a read-only copy of the caller's and a subspace is
+    immutable, so its projector is computed once, on first use, and kept.
+    """
+
+    __slots__ = ("frame", "_projector")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, frame):
-        f = as_matrix(frame)
+        f = as_matrix(np.array(frame, dtype=np.complex128))
+        k = f.shape[1]
         gram = f.conj().T @ f
-        if mat_residual(gram, np.eye(f.shape[1])) > tolerances().eq:
+        # mat_residual(gram, identity(k)), whose identity has norm sqrt(k)
+        residual = frob(gram - identity(k)) / max(1.0, frob(gram), math.sqrt(k))
+        if not residual <= tolerances().eq:  # NaN fails too
             raise InputError("frame columns are not orthonormal")
-        self.frame = f
+        f.flags.writeable = False
+        object.__setattr__(self, "frame", f)
+        object.__setattr__(self, "_projector", None)
 
     @property
     def ambient_dim(self) -> int:
@@ -119,7 +147,12 @@ class Subspace:
         return self.frame.shape[1]
 
     def projector(self) -> np.ndarray:
-        return self.frame @ self.frame.conj().T
+        """pi = F F^H for the frame F, read-only."""
+        if self._projector is None:
+            proj = self.frame @ self.frame.conj().T
+            proj.flags.writeable = False
+            object.__setattr__(self, "_projector", proj)
+        return self._projector
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -170,8 +203,7 @@ def meet_subspace(a: Subspace, b: Subspace) -> Subspace:
     """Intersection, as the kernel of x -> ((I - pi_a)x, (I - pi_b)x)."""
     if a.ambient_dim != b.ambient_dim:
         raise InputError("ambient dimension mismatch")
-    n = a.ambient_dim
-    eye = np.eye(n, dtype=np.complex128)
+    eye = identity(a.ambient_dim)
     stacked = np.vstack([eye - a.projector(), eye - b.projector()])
     return kernel(stacked)
 

@@ -56,12 +56,14 @@ class CheckReport:
         """Register one effective sample; ``payload()`` is kept on failure only.
 
         ``payload`` is a callable, so that counterexample serialization is
-        paid for only when a sample actually fails.
+        paid for only when a sample actually fails.  A NaN residual is a
+        failure and becomes the ``max_error``.
         """
         self.effective += 1
         residual = float(residual)
-        self.max_error = max(self.max_error, residual)
-        if residual > tolerances().eq:
+        if not residual <= self.max_error:
+            self.max_error = residual
+        if not residual <= tolerances().eq:
             self.failures.append({"residual": residual, "input": payload()})
 
     def record_flag(self, ok: bool, payload) -> None:

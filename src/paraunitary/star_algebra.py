@@ -11,7 +11,6 @@ algebra) is the orthomodular lattice all higher layers are built on.
 from __future__ import annotations
 
 import dataclasses
-from typing import NoReturn
 
 import numpy as np
 
@@ -19,9 +18,11 @@ from .numfield import (
     InputError,
     NumericalError,
     Subspace,
+    _immutable,
     _rank_from_singular_values,
     as_matrix,
     frob,
+    identity,
     join_subspace,
     mat_residual,
     meet_subspace,
@@ -53,10 +54,6 @@ def _stack(n: int, mats) -> np.ndarray:
     return stack
 
 
-def _immutable(self, *args) -> NoReturn:
-    raise AttributeError(f"{type(self).__name__} is immutable")
-
-
 class StarAlgebra:
     """Unital *-closed subalgebra of n x n complex matrices.
 
@@ -68,10 +65,12 @@ class StarAlgebra:
     commutant is computed from the basis and only checked against the
     generators, which cannot catch a basis larger than their closure.
     Neither array can change and an instance is immutable, so the
-    commutant and the certified identity are cached on it.
+    commutant and the certified identity are cached on it, and the
+    basis is kept as rows ``_vec`` and their conjugate transpose
+    ``_vec_h``, both read-only.
     """
 
-    __slots__ = ("dim", "generators", "basis", "_vec", "_commutant", "_identity")
+    __slots__ = ("dim", "generators", "basis", "_vec", "_vec_h", "_commutant", "_identity")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, generators, basis):
@@ -81,13 +80,17 @@ class StarAlgebra:
         object.__setattr__(self, "basis", _stack(dim, basis))
         # rows are trace-orthonormal iff they are orthonormal as vectors
         object.__setattr__(self, "_vec", self.basis.reshape(len(self.basis), dim * dim))
+        vec_h = self._vec.conj().T
+        vec_h.flags.writeable = False
+        object.__setattr__(self, "_vec_h", vec_h)
         object.__setattr__(self, "_commutant", None)
         # the certified identity group element, kept by laurent.ppu_t_power
         object.__setattr__(self, "_identity", None)
         gram = self._vec.conj() @ self._vec.T
-        if mat_residual(gram, np.eye(len(self.basis))) > tolerances().eq:
+        # NaN fails too
+        if not mat_residual(gram, identity(len(self.basis))) <= tolerances().eq:
             raise InputError("algebra basis is not trace-orthonormal")
-        if self.membership_residual(np.eye(self.dim)) > tolerances().eq:
+        if not self.membership_residual(identity(self.dim)) <= tolerances().eq:
             raise InputError("identity is not in the span of the basis")
 
     @property
@@ -106,7 +109,7 @@ class StarAlgebra:
         if not np.isfinite(x).all():
             raise InputError("matrix has non-finite entries")
         flat = x.reshape(-1, self.dim * self.dim)
-        projection = (flat @ self._vec.conj().T) @ self._vec
+        projection = (flat @ self._vec_h) @ self._vec
         residuals = np.linalg.norm(flat - projection, axis=1) / np.maximum(
             1.0, np.linalg.norm(flat, axis=1)
         )
@@ -236,12 +239,13 @@ def commutant(a: StarAlgebra) -> StarAlgebra:
             f"between the rank cutoff and 1/(2n) = {0.5 / n:.1e}"
         )
     basis = vecs[:, :rank].T.reshape(rank, n, n)
-    # one batched product per generator, so memory does not grow with their count
-    residual = 0.0
-    for g in _peak_scaled(a.generators):
-        moved = np.linalg.norm(g @ basis - basis @ g, axis=(1, 2))
-        residual = max(residual, float(moved.max(initial=0.0)))
-    if residual > tolerances().eq:
+    # one batched product per generator, so memory does not grow with their
+    # count; np.max, unlike max, keeps a NaN, which then fails the test
+    residual = float(np.max([
+        np.linalg.norm(g @ basis - basis @ g, axis=(1, 2)).max(initial=0.0)
+        for g in _peak_scaled(a.generators)
+    ], initial=0.0))
+    if not residual <= tolerances().eq:
         raise NumericalError(
             f"commutant does not commute with the generators: residual {residual:.3e}"
         )

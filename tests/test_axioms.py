@@ -4,6 +4,7 @@ import pytest
 import paraunitary as pu
 from paraunitary import axioms
 from paraunitary.numfield import InputError
+from paraunitary.reporting import CheckReport
 
 from conftest import diag_algebra, doubled_algebra, full_algebra, scalar_algebra
 
@@ -72,6 +73,15 @@ def test_gvm_passes(name):
     report = axioms.check_gvm(ALGEBRAS[name], samples=80, seed=6)
     assert report.passed and not report.inconclusive
     assert report.max_error <= 1e-9
+
+
+def test_a_nan_residual_is_a_recorded_failure():
+    report = CheckReport("x", 2, 0)
+    report.record(0.0, lambda: "fine")
+    report.record(float("nan"), lambda: "broken")
+    assert not report.passed
+    assert report.failures[0]["input"] == "broken"
+    assert np.isnan(report.max_error)
 
 
 def test_small_sample_counts_are_inconclusive():

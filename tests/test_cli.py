@@ -1,8 +1,10 @@
 import argparse
+import dataclasses
 import json
 import re
 import shlex
 import time
+import types
 
 import numpy as np
 import pytest
@@ -402,6 +404,45 @@ def test_huge_coefficient_is_an_input_error(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert json.loads(proc.stderr) == {"error": "coefficient norm overflows", "kind": "input"}
+
+
+@pytest.mark.parametrize("command", [["lattice", "leq"], ["factor"]])
+def test_a_norm_whose_square_overflows_is_a_numerical_error(tmp_path, command):
+    # every coefficient norm is finite, but ||op||^2 is not: squaring it
+    # as a Python float raised OverflowError and printed a traceback
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(jsonio.canonical_dumps(payload))
+        return str(path)
+
+    algebra = write("alg.json", {"dim": 2, "generators": [
+        jsonio.matrix_to_json(np.array([[1.0, 2.0], [3.0, 4.0]]))]})
+    element = write("el.json", jsonio.laurent_to_json(LaurentOp(2, {
+        0: np.diag([1e154, 0.0]),
+        1: np.diag([-1e154, 1.0]),
+        2: np.array([[1.0, 1e150], [0.0, 0.0]]),
+        3: np.array([[0.0, -1e150], [0.0, 0.0]]),
+    })))
+    one = write("one.json", jsonio.laurent_to_json(LaurentOp.t_power(2, 0)))
+    operands = [element, one] if command[0] == "lattice" else [element]
+    proc = run_python("-m", "paraunitary", *command, algebra, *operands)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["kind"] == "numerical"
+
+
+def test_factor_rejects_a_nan_reconstruction_residual(files, capsys, monkeypatch):
+    class NanDifference:
+        def __sub__(self, other):
+            return types.SimpleNamespace(norms=np.array([np.nan]))
+
+    peel = cli.factor_positive
+    monkeypatch.setattr(cli, "factor_positive", lambda el: dataclasses.replace(
+        peel(el), assembled=types.SimpleNamespace(op=NanDifference())))
+    code, out, err = run_cli(capsys, "factor", files["alg.json"], files["el.json"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "reconstruction residual nan exceeds tolerance",
+                               "kind": "numerical"}
 
 
 @pytest.mark.parametrize("exponent", [10**30, -10**30])

@@ -4,6 +4,7 @@ with explicit elementary factors, heads met by three SVDs).  The Cauchy
 product must also match the pair loop over two stacks bitwise."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import paraunitary as pu
 from paraunitary import laurent
 from paraunitary.laurent import LaurentOp
-from paraunitary.numfield import InputError, subspace_residual
+from paraunitary.numfield import InputError, identity, subspace_residual
 
 from conftest import (
     ReferenceLaurent,
@@ -186,6 +187,65 @@ def test_sums_add_each_part_as_the_reference_does(left, right, paths):
             parts = [(tuple(e + k for e in op.exponents), c @ op.stack if on_left else op.stack @ c)
                      for k, c in terms]
             assert_same_sum(op.times_elementary(proj, power, on_left), n, parts)
+
+
+# which terms of p = t^power proj + (1 - proj) survive the trim: a zero
+# projector leaves only 1 - proj, a full one (within rounding of 1) only proj
+ELEMENTARY_KINDS = {"zero": (0, (0,)), "full": (3, (1,)), "random": (2, (0, 1))}
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTARY_KINDS))
+@pytest.mark.parametrize("support", [(), (5,), (0, 1, 2, 3), (0, 2, 3)],
+                         ids=["empty", "one-term", "contiguous", "gapped"])
+def test_elementary_products_add_as_the_reference_does(support, kind):
+    rng = np.random.default_rng([len(support), 65])
+    n = 3
+    rank, kept = ELEMENTARY_KINDS[kind]
+    proj = pu.orthonormal_basis(rand_matrix(rng, n, rank)).projector()
+    op = LaurentOp(n, {e: rand_matrix(rng, n, n) for e in support})
+    for power, on_left in itertools.product((1, -1), (False, True)):
+        terms = [(0, np.eye(n) - proj), (power, proj)]
+        parts = [(tuple(e + terms[i][0] for e in op.exponents),
+                  terms[i][1] @ op.stack if on_left else op.stack @ terms[i][1]) for i in kept]
+        assert_same_sum(op.times_elementary(proj, power, on_left), n, parts)
+
+
+def fresh_circle_residual(op):
+    """``paraunitarity_residual`` on the unit circle, with its DFT matrix built afresh."""
+    points = 2 * (op.hi - op.lo) + 1
+    turns = np.outer(np.arange(points), [e - op.lo for e in op.exponents]) % points
+    dft = np.exp((2j * np.pi / points) * turns)
+    values = (dft @ op.stack.reshape(len(op.exponents), -1)).reshape(points, op.dim, op.dim)
+    gram = values.conj().swapaxes(1, 2) @ values
+    scale = max(1.0, op.norm())
+    return float(np.linalg.norm(gram - np.eye(op.dim))) / math.sqrt(points) / scale / scale
+
+
+@pytest.mark.parametrize("support", [(0,), (0, 1, 2), tuple(range(8)), (0, 1, 3), (0, 2, 3, 7)],
+                         ids=["one-term", "contiguous", "long", "gapped", "gapped-wide"])
+def test_unit_circle_residual_matches_a_fresh_dft(support):
+    rng = np.random.default_rng([len(support), 66])
+    n = 3
+    assert 2 * (support[-1] - support[0]) + 1 <= len(support) ** 2  # the unit-circle path
+    offset = big_shift(rng)
+    op = LaurentOp(n, {offset + e: rand_matrix(rng, n, n) for e in support})
+    element = pu.random_ppu(random_algebra(n, 66), len(support), 0, 67).op.shifted(offset)
+    for x in (op, element):
+        # the first call may build the kept DFT, the second reuses it
+        for _ in range(2):
+            assert laurent.paraunitarity_residual(x) == fresh_circle_residual(x)
+
+
+def test_kept_constants_are_read_only():
+    n = 3
+    a = random_algebra(n, 68)
+    assert identity(n) is identity(n)
+    proj = pu.random_projection_in(a, 69).subspace.projector()
+    assert (identity(n) - proj).tobytes() == (np.eye(n) - proj).tobytes()
+    assert a._vec_h.tobytes() == a._vec.conj().T.tobytes()
+    for array in (identity(n), laurent._contiguous_dft(5, 3), a._vec_h):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n, scale, draw", cases())

@@ -231,6 +231,15 @@ class TestPpuElement:
         with pytest.raises(NumericalError, match="membership"):
             pu.PpuElement(p_m_op(tilted), diag_algebra(2))
 
+    @pytest.mark.parametrize("owner, name", [
+        (pu.StarAlgebra, "membership"), (laurent, "paraunitarity"), (laurent, "purity"),
+    ], ids=["membership", "paraunitarity", "purity"])
+    def test_a_nan_residual_is_rejected(self, monkeypatch, owner, name):
+        a = diag_algebra(2)
+        monkeypatch.setattr(owner, f"{name}_residual", lambda *args: float("nan"))
+        with pytest.raises(NumericalError, match=f"{name} residual nan"):
+            pu.PpuElement(p_m_op(P1), a)
+
     def test_group_operations(self):
         a = full_algebra(2, seed=22)
         g = pu.random_ppu(a, 2, 0, seed=9)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paraunitary as pu
+from paraunitary import numfield
 from paraunitary.numfield import (
     InputError,
     frob,
@@ -200,6 +201,40 @@ class TestComplementAndProjector:
             pu.orthonormal_basis(E1).projector(), np.diag([1.0, 0.0])
         ) < 1e-12
         assert frob(zero_subspace(2).projector()) == 0.0
+
+
+class TestSubspaceStorage:
+    def test_the_frame_is_a_read_only_copy(self):
+        f = np.linalg.qr(rand_matrix(np.random.default_rng(70), 4, 2))[0]
+        kept = f.copy()
+        s = pu.Subspace(f)
+        assert s.frame is not f
+        f[0, 0] = 5.0
+        assert s.frame.tobytes() == kept.tobytes()
+        for array in (s.frame, s.projector()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+    def test_a_subspace_refuses_reassignment(self):
+        s, other = random_subspace(3, 71), random_subspace(3, 72)
+        s.projector()
+        for attr in ("frame", "_projector"):
+            with pytest.raises(AttributeError):
+                setattr(s, attr, getattr(other, attr))
+            with pytest.raises(AttributeError):
+                delattr(s, attr)
+        with pytest.raises(AttributeError):
+            s.extra = None
+
+    def test_the_projector_is_computed_once(self):
+        s = random_subspace(5, 73)
+        assert s.projector() is s.projector()
+        assert s.projector().tobytes() == (s.frame @ s.frame.conj().T).tobytes()
+
+    def test_a_nan_orthonormality_residual_is_an_input_error(self, monkeypatch):
+        monkeypatch.setattr(numfield, "frob", lambda m: float("nan"))
+        with pytest.raises(InputError, match="not orthonormal"):
+            pu.Subspace(np.eye(2))
 
 
 dims = st.integers(min_value=1, max_value=4)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paraunitary as pu
+from paraunitary import star_algebra
 from paraunitary.numfield import (
     InputError,
     NumericalError,
@@ -264,6 +265,24 @@ class TestStorage:
         with pytest.raises(InputError, match=message):
             pu.StarAlgebra(2, generators, [np.eye(2) / np.sqrt(2)])
 
+    def test_a_caller_edit_of_a_frame_leaves_its_member_alone(self):
+        a = diag_algebra(3)
+        f = np.eye(3, dtype=complex)[:, :1]
+        m = pu.certify_member(a, pu.Subspace(f))
+        # span(e1 + e2) is no member of the diagonal algebra's lattice
+        f[:2, 0] = 1.0 / np.sqrt(2.0)
+        assert pu.is_member_XAprime(a, m.subspace)
+        assert m.subspace.frame[0, 0] == 1.0
+
+    @pytest.mark.parametrize("owner, check, message", [
+        (star_algebra, "mat_residual", "not trace-orthonormal"),
+        (pu.StarAlgebra, "membership_residual", "identity is not in the span"),
+    ], ids=["orthonormality", "identity"])
+    def test_a_nan_basis_residual_is_an_input_error(self, monkeypatch, owner, check, message):
+        monkeypatch.setattr(owner, check, lambda *args: float("nan"))
+        with pytest.raises(InputError, match=message):
+            pu.StarAlgebra(2, [np.eye(2)], [np.eye(2) / np.sqrt(2)])
+
     def test_a_caller_edit_of_a_generator_leaves_the_algebra_alone(self):
         g = np.diag([1, 2, 3]).astype(complex)
         a = pu.generate_algebra(3, [g])
@@ -323,6 +342,12 @@ def basis_commutant(a):
 
 
 class TestCommutantFromGenerators:
+    def test_a_nan_certificate_is_a_numerical_error(self, monkeypatch):
+        a = diag_algebra(3)
+        monkeypatch.setattr(star_algebra, "_peak_scaled", lambda gens: [np.full((3, 3), np.nan)])
+        with pytest.raises(NumericalError, match="residual nan"):
+            pu.commutant(a)
+
     @pytest.mark.parametrize(
         "algebra",
         [
