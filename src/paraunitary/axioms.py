@@ -41,6 +41,12 @@ def _pair_payload(g: PpuElement, h: PpuElement):
     return lambda: {"g": laurent_to_json(g.op), "h": laurent_to_json(h.op)}
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, NaN if any is: Python's ``max`` keeps a NaN
+    only when it comes first."""
+    return float(np.max(residuals))
+
+
 def _member_payload(m, n):
     return lambda: {
         "m": subspace_to_json(m.subspace),
@@ -96,7 +102,7 @@ def check_singularity(a: StarAlgebra, samples: int = 100, seed: int = 0) -> Chec
             report.skip_vacuous()
             continue
         yx = (y * x).op
-        residual = max(
+        residual = _worst(
             yx.distance(ppu.join(x, y).op),
             yx.distance(ppu._elementary(oml_join(m, n).subspace)),
         )
@@ -131,7 +137,7 @@ def check_gamma_oml(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckR
         n = random_projection_in(a, derive_seed(seed, i, 1))
         pm, pn = ppu.p_of(m), ppu.p_of(n)
         pk, pc = ppu.p_of(oml_meet(m, n)), ppu.p_of(oml_complement(m))
-        residual = max(
+        residual = _worst(
             ppu.meet(pm, pn).op.distance(pk.op),
             ppu.join(pm, pn).op.distance(ppu._elementary(oml_join(m, n).subspace)),
             ppu.complement_in_t(pm).op.distance(pc.op),
@@ -142,7 +148,7 @@ def check_gamma_oml(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckR
         )
         # orthomodular law with the coerced inclusion meet(m, n) <= n
         oml_lhs = ppu.join(pk, ppu.meet(ppu.complement_in_t(pk), pn))
-        residual = max(residual, oml_lhs.op.distance(pn.op))
+        residual = _worst(residual, oml_lhs.op.distance(pn.op))
         report.record(residual, _member_payload(m, n))
     return report
 
@@ -157,7 +163,7 @@ def check_gvm(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckReport:
             continue
         target = ppu._elementary(oml_join(m, n).subspace)
         pm, pn = ppu._elementary(m.subspace), ppu._elementary(n.subspace)
-        residual = max((pm * pn).distance(target), (pn * pm).distance(target))
+        residual = _worst((pm * pn).distance(target), (pn * pm).distance(target))
         report.record(residual, _member_payload(m, n))
     return report
 

@@ -182,26 +182,16 @@ class LaurentOp:
         + (1 - proj) for every integer power.  Its two coefficients are
         trimmed as a dict-built p's are, so a projector within rounding of
         1 leaves no 1 - proj term, and each multiplies the whole stack in
-        one batched product.  When both terms survive, the support is
-        contiguous and ``|power| == 1``, the two products fill rows
-        ``0 .. t - 1`` and ``1 .. t`` of the sum in some order: they are
-        added into zeros as two slices, in the order of the terms, which
-        is what ``_scattered`` does, without its sort and search.
+        one batched product.
         """
         terms = np.stack([identity(self.dim) - proj, proj])
         shifts, terms, _ = _trim((0, int(power)), terms)
-        products = [c @ self.stack if on_left else self.stack @ c for c in terms]
-        t = len(self.exponents)
-        if len(shifts) == 2 and shifts[1] in (1, -1) and t and self.hi - self.lo == t - 1:
-            out = np.zeros((t + 1, self.dim, self.dim), dtype=np.complex128)
-            first = int(shifts[1] == -1)  # row of the unshifted term's lo
-            out[first:first + t] += products[0]
-            out[1 - first:1 - first + t] += products[1]
-            lo = self.lo - first
-            return LaurentOp._make(self.dim, tuple(range(lo, lo + t + 1)), out)
         return _summed(
             self.dim,
-            *[(_shift(self.exponents, k), c) for k, c in zip(shifts, products)],
+            *[
+                (_shift(self.exponents, k), c @ self.stack if on_left else self.stack @ c)
+                for k, c in zip(shifts, terms)
+            ],
         )
 
     def shifted(self, k: int) -> "LaurentOp":
@@ -330,11 +320,17 @@ def _dft(points: int, offsets) -> np.ndarray:
     return np.exp((2j * np.pi / points) * turns)
 
 
-@functools.lru_cache(maxsize=16)
-def _contiguous_dft(points: int, t: int) -> np.ndarray:
-    """``_dft(points, range(t))``, read-only and kept: a contiguous support
-    gives one matrix per term count, a gapped one is not kept."""
-    dft = _dft(points, np.arange(t))
+# a contiguous support of at most this many terms keeps its DFT matrix;
+# all of them together would hold 2.8 MB, and the peels and certificates
+# of degree-24 elements use at most about 50 terms
+_KEPT_DFT_TERMS = 64
+
+
+@functools.cache
+def _contiguous_dft(t: int) -> np.ndarray:
+    """``_dft(2 t - 1, range(t))``, read-only: the one DFT matrix of every
+    contiguous support of ``t`` terms."""
+    dft = _dft(2 * t - 1, np.arange(t))
     dft.flags.writeable = False
     return dft
 
@@ -342,8 +338,8 @@ def _contiguous_dft(points: int, t: int) -> np.ndarray:
 def _circle_residual(op: LaurentOp, points: int) -> float:
     """Root mean square of ||F(z)^H F(z) - 1||_F over the points-th roots of unity."""
     t = len(op.exponents)
-    if op.hi - op.lo == t - 1:
-        dft = _contiguous_dft(points, t)
+    if op.hi - op.lo == t - 1 and t <= _KEPT_DFT_TERMS:
+        dft = _contiguous_dft(t)
     else:
         # exponents relative to lo fit in int64 even when lo does not
         dft = _dft(points, [e - op.lo for e in op.exponents])

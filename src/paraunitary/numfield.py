@@ -128,11 +128,8 @@ class Subspace:
 
     def __init__(self, frame):
         f = as_matrix(np.array(frame, dtype=np.complex128))
-        k = f.shape[1]
         gram = f.conj().T @ f
-        # mat_residual(gram, identity(k)), whose identity has norm sqrt(k)
-        residual = frob(gram - identity(k)) / max(1.0, frob(gram), math.sqrt(k))
-        if not residual <= tolerances().eq:  # NaN fails too
+        if not mat_residual(gram, identity(f.shape[1])) <= tolerances().eq:  # NaN fails too
             raise InputError("frame columns are not orthonormal")
         f.flags.writeable = False
         object.__setattr__(self, "frame", f)

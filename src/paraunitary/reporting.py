@@ -8,6 +8,7 @@ index path so that every sample is reproducible in isolation.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -23,6 +24,11 @@ def derive_seed(*path: int) -> int:
 
 
 MIN_EFFECTIVE_SAMPLES = 20
+
+
+def _finite_or_none(value: float) -> float | None:
+    """``value``, or ``None`` where JSON has no number for it."""
+    return value if math.isfinite(value) else None
 
 
 @dataclasses.dataclass
@@ -57,11 +63,12 @@ class CheckReport:
 
         ``payload`` is a callable, so that counterexample serialization is
         paid for only when a sample actually fails.  A NaN residual is a
-        failure and becomes the ``max_error``.
+        failure and becomes the ``max_error`` for good: no later residual
+        compares above it.
         """
         self.effective += 1
         residual = float(residual)
-        if not residual <= self.max_error:
+        if math.isnan(residual) or residual > self.max_error:
             self.max_error = residual
         if not residual <= tolerances().eq:
             self.failures.append({"residual": residual, "input": payload()})
@@ -76,13 +83,17 @@ class CheckReport:
         self.vacuous += 1
 
     def to_json(self) -> dict:
+        """The report as JSON; a NaN or infinite residual is written ``null``."""
         return {
             "check": self.check,
             "samples": self.samples,
             "seed": self.seed,
             "pass": self.passed,
-            "max_error": self.max_error,
-            "failures": self.failures,
+            "max_error": _finite_or_none(self.max_error),
+            "failures": [
+                {**f, "residual": _finite_or_none(f["residual"])} if "residual" in f else f
+                for f in self.failures
+            ],
             "vacuous": self.vacuous,
             "inconclusive": self.inconclusive,
         }

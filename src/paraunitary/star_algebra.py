@@ -88,7 +88,7 @@ class StarAlgebra:
         object.__setattr__(self, "_identity", None)
         gram = self._vec.conj() @ self._vec.T
         # NaN fails too
-        if not mat_residual(gram, identity(len(self.basis))) <= tolerances().eq:
+        if not mat_residual(gram, np.eye(len(self.basis))) <= tolerances().eq:
             raise InputError("algebra basis is not trace-orthonormal")
         if not self.membership_residual(identity(self.dim)) <= tolerances().eq:
             raise InputError("identity is not in the span of the basis")

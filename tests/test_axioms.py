@@ -78,10 +78,24 @@ def test_gvm_passes(name):
 def test_a_nan_residual_is_a_recorded_failure():
     report = CheckReport("x", 2, 0)
     report.record(0.0, lambda: "fine")
+    report.record(0.5, lambda: "large")
     report.record(float("nan"), lambda: "broken")
+    # no later residual compares above a NaN, so none replaces it
+    report.record(0.1, lambda: "small")
     assert not report.passed
-    assert report.failures[0]["input"] == "broken"
+    assert [f["input"] for f in report.failures] == ["large", "broken", "small"]
     assert np.isnan(report.max_error)
+    as_json = report.to_json()
+    assert as_json["max_error"] is None
+    assert [f["residual"] for f in as_json["failures"]] == [0.5, None, 0.1]
+
+
+def test_a_nan_among_a_samples_residuals_fails_the_check(monkeypatch):
+    # the inverse-map residual is the fourth of the six that gamma_oml takes
+    # the largest of, where Python's max would drop a NaN
+    monkeypatch.setattr(axioms, "subspace_residual", lambda m, n: float("nan"))
+    report = axioms.check_gamma_oml(diag_algebra(2), samples=3, seed=1)
+    assert len(report.failures) == 3 and np.isnan(report.max_error)
 
 
 def test_small_sample_counts_are_inconclusive():

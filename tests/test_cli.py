@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
-from paraunitary import cli, jsonio, ppu
+from paraunitary import axioms, cli, jsonio, ppu
 from paraunitary.cli import main
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import full_subspace
+from paraunitary.reporting import CheckReport
 
 from conftest import ROOT, contains, diag_algebra, load_module, run_python
 
@@ -159,6 +160,25 @@ def test_verify_check_subset(files, capsys):
     )
     assert code == 0
     assert [r["check"] for r in json.loads(out)] == ["normality", "order_unit"]
+
+
+@pytest.mark.parametrize("residual", [float("nan"), float("inf")])
+def test_verify_reports_a_non_finite_residual_as_a_failed_check(files, capsys, monkeypatch,
+                                                                residual):
+    def broken_check(a, samples, seed):
+        report = CheckReport("normality", samples, seed)
+        for i in range(samples):
+            report.record(residual if i == 1 else 0.0, lambda i=i: {"sample": i})
+        return report
+
+    monkeypatch.setitem(axioms._ALGEBRA_CHECKS, "normality", broken_check)
+    code, out, err = run_cli(
+        capsys, "verify", files["alg.json"], "--samples", "25", "--checks", "normality"
+    )
+    assert code == 1 and err == ""
+    [report] = json.loads(out)
+    assert not report["pass"] and report["max_error"] is None
+    assert report["failures"] == [{"residual": None, "input": {"sample": 1}}]
 
 
 def test_random_is_byte_deterministic(files, capsys):
