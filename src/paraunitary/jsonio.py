@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 
 import numpy as np
 
@@ -159,6 +160,9 @@ def laurent_to_json(op: LaurentOp) -> dict:
     }
 
 
+_EXPONENT_KEY = re.compile(r"-?[0-9]+")
+
+
 def laurent_from_json(obj) -> LaurentOp:
     try:
         dim, coeffs = _json_int(obj["dim"]), obj["coeffs"]
@@ -170,11 +174,14 @@ def laurent_from_json(obj) -> LaurentOp:
         raise InputError("Laurent coeffs must be an object")
     parsed = {}
     for key, mat in coeffs.items():
+        # int() alone would also take "1_0", " 7 " and non-ASCII digits
+        if not (isinstance(key, str) and _EXPONENT_KEY.fullmatch(key)):
+            raise InputError(f"bad exponent key {key!r}")
         try:
             e = int(key)
-        except ValueError as exc:
+        except ValueError as exc:  # past int()'s digit limit
             raise InputError(f"bad exponent key {key!r}") from exc
-        if e in parsed:  # "0" and "00" name the same exponent
+        if e in parsed:  # "0", "00" and "-0" name the same exponent
             raise InputError(f"duplicate exponent key {key!r}")
         parsed[e] = matrix_from_json(mat)
     return LaurentOp(dim, parsed)

@@ -27,16 +27,11 @@ from .star_algebra import StarAlgebra
 _SQUARES_UNDERFLOW = math.sqrt(np.finfo(float).tiny)
 
 
-def _norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a ``(t, n, n)`` stack."""
-    return np.linalg.norm(stack, axis=(1, 2))
-
-
 def _scaled_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norms, each taken of ``|c|`` divided by its largest entry."""
     moduli = np.abs(stack)
     peaks = moduli.max(axis=(1, 2), initial=0.0)
-    return peaks * _norms(moduli / np.where(peaks > 0.0, peaks, 1.0)[:, None, None])
+    return peaks * frob(moduli / np.where(peaks > 0.0, peaks, 1.0)[:, None, None], axis=(1, 2))
 
 
 def _trim(exponents: tuple, stack: np.ndarray):
@@ -44,16 +39,17 @@ def _trim(exponents: tuple, stack: np.ndarray):
 
     Returns the surviving exponents, their stack and their norms.
     """
-    norms = _norms(stack)
-    peak = norms.max(initial=0.0)
+    trim = tolerances().trim
+    norms = frob(stack, axis=(1, 2))
+    peak = np.maximum.reduce(norms, initial=0.0)
     if not math.isfinite(peak):
         raise InputError("coefficient norm overflows")
-    threshold = tolerances().trim * peak
+    threshold = trim * peak
     if threshold < _SQUARES_UNDERFLOW:
         # a norm this small may have lost its squares to underflow
         norms = _scaled_norms(stack)
-        threshold = tolerances().trim * norms.max(initial=0.0)
-    if norms.min(initial=math.inf) > threshold:
+        threshold = trim * np.maximum.reduce(norms, initial=0.0)
+    if np.minimum.reduce(norms, initial=math.inf) > threshold:
         return exponents, stack, norms
     keep = norms > threshold
     kept = tuple([e for e, k in zip(exponents, keep.tolist()) if k])
@@ -132,7 +128,7 @@ class LaurentOp:
 
     @classmethod
     def t_power(cls, dim: int, k: int) -> "LaurentOp":
-        return cls(dim, {int(k): identity(dim)})
+        return cls._make(dim, (int(k),), identity(dim)[None].astype(np.complex128))
 
     @property
     def coeffs(self) -> types.MappingProxyType:

@@ -94,8 +94,22 @@ def identity(n: int) -> np.ndarray:
     return eye
 
 
-def frob(m) -> float:
-    return float(np.linalg.norm(m))
+def frob(m, axis=None):
+    """Frobenius norm, bit for bit ``np.linalg.norm(m, axis=axis)`` without its dispatch.
+
+    Every norm in the package is this kernel.  Without ``axis``, a float:
+    the entries in memory order, real and imaginary parts summed as two
+    real dots.  With ``axis``, the array of norms over those axes.
+    """
+    if axis is not None:
+        return np.sqrt(np.add.reduce((m.conj() * m).real, axis=axis))
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    return math.sqrt(float(x.dot(x)))
 
 
 def mat_residual(a, b) -> float:

@@ -49,7 +49,7 @@ MAX_PEEL_STEPS = 2**16
 def _elementary(s: Subspace) -> LaurentOp:
     """p_s = t pi_s + (1 - pi_s)."""
     proj = s.projector()
-    return LaurentOp(s.ambient_dim, {1: proj, 0: identity(s.ambient_dim) - proj})
+    return LaurentOp._make(s.ambient_dim, (0, 1), np.stack([identity(s.ambient_dim) - proj, proj]))
 
 
 def p_of(member: InvariantSubspace) -> PpuElement:

@@ -110,9 +110,7 @@ class StarAlgebra:
             raise InputError("matrix has non-finite entries")
         flat = x.reshape(-1, self.dim * self.dim)
         projection = (flat @ self._vec_h) @ self._vec
-        residuals = np.linalg.norm(flat - projection, axis=1) / np.maximum(
-            1.0, np.linalg.norm(flat, axis=1)
-        )
+        residuals = frob(flat - projection, axis=1) / np.maximum(1.0, frob(flat, axis=1))
         return float(residuals.max(initial=0.0))
 
     @property
@@ -198,7 +196,7 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
         if not len(kept):
             break
         # the kept singular values are the row norms of U^H R = Sigma W^H
-        weakest = np.linalg.norm(kept.conj() @ products.T, axis=1).min()
+        weakest = frob(kept.conj() @ products.T, axis=1).min()
         if weakest * tolerances().rank <= np.finfo(float).eps * scale:
             raise NumericalError(
                 f"algebra closure is ambiguous: a new direction at {weakest / scale:.1e} "
@@ -242,7 +240,7 @@ def commutant(a: StarAlgebra) -> StarAlgebra:
     # one batched product per generator, so memory does not grow with their
     # count; np.max, unlike max, keeps a NaN, which then fails the test
     residual = float(np.max([
-        np.linalg.norm(g @ basis - basis @ g, axis=(1, 2)).max(initial=0.0)
+        frob(g @ basis - basis @ g, axis=(1, 2)).max(initial=0.0)
         for g in _peak_scaled(a.generators)
     ], initial=0.0))
     if not residual <= tolerances().eq:
@@ -277,9 +275,7 @@ def is_member_XAprime(a: StarAlgebra, s: Subspace) -> bool:
     if s.dim > 0:
         moved = a.commutant.basis @ s.frame
         outside = moved - s.frame @ (s.frame.conj().T @ moved)
-        ratios = np.linalg.norm(outside, axis=(1, 2)) / np.maximum(
-            1.0, np.linalg.norm(moved, axis=(1, 2))
-        )
+        ratios = frob(outside, axis=(1, 2)) / np.maximum(1.0, frob(moved, axis=(1, 2)))
         inv_residual = float(ratios.max())
     by_invariance = inv_residual <= tolerances().eq
     if by_projector != by_invariance:

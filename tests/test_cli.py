@@ -559,6 +559,7 @@ _ONE = [[[1.0, 0.0]]]
         ("eval", {"dim": 1, "coeffs": {"0": {"rows": "a", "cols": 1, "data": _ONE}}}),
         ("eval", {"dim": 1, "coeffs": {"0": {"rows": 1, "cols": 1, "data": _ONE},
                                       "00": {"rows": 1, "cols": 1, "data": _ONE}}}),
+        ("eval", {"dim": 1, "coeffs": {"1_0": {"rows": 1, "cols": 1, "data": _ONE}}}),
         ("eval", {"dim": 1, "coeffs": []}),
         ("eval", {"dim": 1, "coeffs": "x"}),
         ("eval", {"dim": -3, "coeffs": {}}),
@@ -578,7 +579,8 @@ _ONE = [[[1.0, 0.0]]]
         ("algebra", {"dim": 2.5, "generators": []}),
     ],
     ids=["one-element-entry", "string-entry", "string-part", "ragged-entries",
-         "row-count", "string-rows", "duplicate-exponent", "coeffs-list", "coeffs-string", "negative-dim",
+         "row-count", "string-rows", "duplicate-exponent", "underscore-exponent",
+         "coeffs-list", "coeffs-string", "negative-dim",
          "string-dim", "not-an-object", "generators-int", "algebra-string-dim",
          "generator-entry", "float-dim", "bool-dim", "float-rows", "bool-cols",
          "numeric-string-entry", "bool-entries", "bool-among-floats", "huge-integer-entry",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
-from paraunitary import laurent
+from paraunitary import laurent, ppu
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import InputError, identity, subspace_residual
 
@@ -208,6 +208,27 @@ def test_elementary_products_add_as_the_reference_does(support, kind):
         parts = [(tuple(e + terms[i][0] for e in op.exponents),
                   terms[i][1] @ op.stack if on_left else op.stack @ terms[i][1]) for i in kept]
         assert_same_sum(op.times_elementary(proj, power, on_left), n, parts)
+
+
+def assert_same_op(op, ref):
+    assert op.exponents == ref.exponents
+    assert op.stack.tobytes() == ref.stack.tobytes()
+    assert op.norms.tobytes() == ref.norms.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTARY_KINDS))
+def test_the_elementary_factor_is_the_dict_built_one(kind):
+    rng = np.random.default_rng([ELEMENTARY_KINDS[kind][0], 70])
+    n = 3
+    s = pu.orthonormal_basis(rand_matrix(rng, n, ELEMENTARY_KINDS[kind][0]))
+    proj = s.projector()
+    assert_same_op(ppu._elementary(s), LaurentOp(n, {1: proj, 0: np.eye(n) - proj}))
+
+
+@pytest.mark.parametrize("k", [0, 1, -7, 2**63, -(10**30)])
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_t_power_is_the_dict_built_one(n, k):
+    assert_same_op(LaurentOp.t_power(n, k), LaurentOp(n, {k: np.eye(n)}))
 
 
 def fresh_circle_residual(op):

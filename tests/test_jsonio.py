@@ -41,9 +41,20 @@ def test_laurent_roundtrip():
         assert np.array_equal(back.coeff(e), op.coeff(e))
 
 
-def test_laurent_rejects_bad_exponent_keys():
-    with pytest.raises(InputError):
-        jsonio.laurent_from_json({"dim": 1, "coeffs": {"x": jsonio.matrix_to_json(np.eye(1))}})
+# int() would read "1_0" as 10, " 7 " as 7 and the Arabic-Indic digits as 12
+@pytest.mark.parametrize("key", ["x", "1_0", " 7 ", "\u0661\u0662"])
+def test_laurent_rejects_bad_exponent_keys(key):
+    with pytest.raises(InputError, match="bad exponent key"):
+        jsonio.laurent_from_json({"dim": 1, "coeffs": {key: jsonio.matrix_to_json(np.eye(1))}})
+
+
+def test_laurent_keys_are_signed_decimal_strings():
+    one = jsonio.matrix_to_json(np.eye(1))
+    op = jsonio.laurent_from_json({"dim": 1, "coeffs": {"-0": one, "-007": one, "12": one}})
+    assert op.exponents == (-7, 0, 12)
+    for zeros in (["0", "-0"], ["00", "0"]):
+        with pytest.raises(InputError, match="duplicate exponent key"):
+            jsonio.laurent_from_json({"dim": 1, "coeffs": dict.fromkeys(zeros, one)})
 
 
 def test_algebra_roundtrip_regenerates():

@@ -78,6 +78,46 @@ def test_kernel_shapes(rows, cols, rank):
     assert frob(m @ s.frame) <= pu.tolerances().eq * max(1.0, frob(m))
 
 
+def _frob_inputs(scale):
+    """Complex and real stacks of 6 x 6 matrices at ``scale``, the last with a NaN entry."""
+    rng = np.random.default_rng([int(-np.log10(scale)) % 1000, 74])
+    z = scale * (rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6)))
+    z[-1, 2, 3] = np.nan
+    return {"complex": z, "real": np.ascontiguousarray(z.real)}
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# the squares of 1e-300 underflow, those of 1e-163 lose bits and those of
+# 1e200 overflow to inf; the NaN entry propagates
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-163, 1e200])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+class TestFrobKernel:
+    def test_a_norm_is_bitwise_numpys(self, kind, scale):
+        x = _frob_inputs(scale)[kind]
+        views = [x[0], x[-1], x[1].T, x[:4], x[:4][::-1], x[:4].swapaxes(1, 2), x, x[:0, 0]]
+        with np.errstate(over="ignore"):
+            for v in views:
+                assert _same_bits(frob(v), np.linalg.norm(v))
+                assert type(frob(v)) is float
+
+    def test_batched_norms_are_bitwise_numpys(self, kind, scale):
+        x = _frob_inputs(scale)[kind]
+        rows = x.reshape(5, 36)
+        cases = [(x, (1, 2)), (x[:4][::-1], (1, 2)), (x.swapaxes(1, 2), (1, 2)), (x[:0], (1, 2)),
+                 (rows, 1), (rows[::-1], 1), (rows[:0], 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v, axis in cases:
+                got, want = frob(v, axis=axis), np.linalg.norm(v, axis=axis)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            if scale == 1e200:
+                assert np.isinf(frob(x[0])) and np.isinf(frob(x, axis=(1, 2))[0])
+            assert np.isnan(frob(x[-1])) and np.isnan(frob(x, axis=(1, 2))[-1])
+
+
 class TestMeetJoin:
     def test_meet_coordinate_planes(self):
         a = pu.orthonormal_basis(np.eye(3)[:, :2])
