@@ -19,6 +19,7 @@ from . import axioms
 from .jsonio import (
     algebra_from_json,
     canonical_dumps,
+    clipped_repr,
     factor_list_to_json,
     laurent_from_json,
     laurent_to_json,
@@ -48,7 +49,9 @@ def _add_common(parser: argparse.ArgumentParser, run) -> None:
     parser.set_defaults(run=run)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves a parser as it found it."""
     parser = argparse.ArgumentParser(
         prog="paraunitary",
         description="Factor, order, and verify pure paraunitary operator polynomials.",
@@ -100,19 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """One parser per process: parsing leaves a parser as it found it."""
-    return build_parser()
-
-
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a decode error, bytes that are not UTF-8, an integer past int()'s
+    # digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -192,7 +191,7 @@ def _cmd_eval(args) -> int:
     try:
         z = complex(args.z)
     except ValueError as exc:
-        raise InputError(f"cannot parse evaluation point {args.z!r}") from exc
+        raise InputError(f"cannot parse evaluation point {clipped_repr(args.z)}") from exc
     _emit(matrix_to_json(op.eval_at(z)), args.out)
     return 0
 
@@ -202,7 +201,7 @@ def _cmd_eval(args) -> int:
 @np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,8 +1,9 @@
 """JSON wire formats and canonical serialization.
 
-Payloads are plain dicts/lists of Python scalars.  ``canonical_dumps``
-emits byte-stable output: object keys sorted, floats at a fixed 17
-significant digits, no whitespace.
+Payloads are plain dicts/lists of Python scalars, and the subspaces and
+Laurent operators that check reports hold.  ``canonical_dumps`` emits
+byte-stable output: object keys sorted, floats at a fixed 17 significant
+digits, no whitespace.  This is the only module that knows a wire format.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import numpy as np
 
 from .laurent import LaurentOp
-from .numfield import InputError, Subspace, as_matrix, orthonormal_basis
+from .numfield import InputError, Subspace, as_matrix
 from .ppu import FactorList
 from .star_algebra import StarAlgebra, generate_algebra
 
@@ -85,6 +86,10 @@ def _emit(obj, parts: list[str]) -> None:
                 parts.append(",")
             _emit(item, parts)
         parts.append("]")
+    elif isinstance(obj, Subspace):
+        _emit(subspace_to_json(obj), parts)
+    elif isinstance(obj, LaurentOp):
+        _emit(laurent_to_json(obj), parts)
     else:
         raise InputError(f"cannot serialize {type(obj).__name__}")
 
@@ -98,6 +103,13 @@ def matrix_to_json(m) -> dict:
         # an empty matrix has no entries for a template to carry
         "data": _FloatArray(data) if data.size else data.tolist(),
     }
+
+
+def clipped_repr(value) -> str:
+    """``repr(value)`` for an error message: past 40 characters, a prefix
+    marked with the full length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _json_int(value) -> int:
@@ -130,11 +142,6 @@ def matrix_from_json(obj) -> np.ndarray:
 
 def subspace_to_json(s: Subspace) -> dict:
     return matrix_to_json(s.frame)
-
-
-def subspace_from_json(obj) -> Subspace:
-    """Columns are a spanning set; they are orthonormalized on load."""
-    return orthonormal_basis(matrix_from_json(obj))
 
 
 def algebra_to_json(a: StarAlgebra) -> dict:
@@ -176,13 +183,13 @@ def laurent_from_json(obj) -> LaurentOp:
     for key, mat in coeffs.items():
         # int() alone would also take "1_0", " 7 " and non-ASCII digits
         if not (isinstance(key, str) and _EXPONENT_KEY.fullmatch(key)):
-            raise InputError(f"bad exponent key {key!r}")
+            raise InputError(f"bad exponent key {clipped_repr(key)}")
         try:
             e = int(key)
         except ValueError as exc:  # past int()'s digit limit
-            raise InputError(f"bad exponent key {key!r}") from exc
+            raise InputError(f"bad exponent key {clipped_repr(key)}") from exc
         if e in parsed:  # "0", "00" and "-0" name the same exponent
-            raise InputError(f"duplicate exponent key {key!r}")
+            raise InputError(f"duplicate exponent key {clipped_repr(key)}")
         parsed[e] = matrix_from_json(mat)
     return LaurentOp(dim, parsed)
 

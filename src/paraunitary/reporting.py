@@ -58,11 +58,11 @@ class CheckReport:
     def inconclusive(self) -> bool:
         return self.effective < MIN_EFFECTIVE_SAMPLES
 
-    def record(self, residual: float, payload) -> None:
-        """Register one effective sample; ``payload()`` is kept on failure only.
+    def record(self, residual: float, payload: dict) -> None:
+        """Register one effective sample; ``payload`` is kept on failure only.
 
-        ``payload`` is a callable, so that counterexample serialization is
-        paid for only when a sample actually fails.  A NaN residual is a
+        ``payload`` holds the sample's inputs as package values (subspaces,
+        Laurent operators, integer lists), not as JSON.  A NaN residual is a
         failure and becomes the ``max_error`` for good: no later residual
         compares above it.
         """
@@ -71,19 +71,23 @@ class CheckReport:
         if math.isnan(residual) or residual > self.max_error:
             self.max_error = residual
         if not residual <= tolerances().eq:
-            self.failures.append({"residual": residual, "input": payload()})
+            self.failures.append({"residual": residual, "input": payload})
 
-    def record_flag(self, ok: bool, payload) -> None:
+    def record_flag(self, ok: bool, payload: dict) -> None:
         """Register a boolean law instance (no numeric residual)."""
         self.effective += 1
         if not ok:
-            self.failures.append({"input": payload()})
+            self.failures.append({"input": payload})
 
     def skip_vacuous(self) -> None:
         self.vacuous += 1
 
     def to_json(self) -> dict:
-        """The report as JSON; a NaN or infinite residual is written ``null``."""
+        """The report as JSON; a NaN or infinite residual is written ``null``.
+
+        Each failure's ``input`` stays as recorded: ``jsonio.canonical_dumps``
+        writes the subspaces and Laurent operators it holds.
+        """
         return {
             "check": self.check,
             "samples": self.samples,

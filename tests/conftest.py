@@ -198,6 +198,16 @@ def contained_in(s, other):
     return columns_outside(s.frame, other) <= tolerances().eq
 
 
+def deg_det(el):
+    """deg det x = sum_j j ||x_j||_F^2 for x = sum_j x_j t^j paraunitary.
+
+    The degree of the determinant is additive, so deg det(x ^ y) +
+    deg det(x v y) = deg det x + deg det y, and a positive element's
+    elementary factors have dimensions summing to its deg det.
+    """
+    return sum(e * frob(c) ** 2 for e, c in el.op.coeffs.items())
+
+
 def closure_residual(a):
     """Worst membership residual over the basis's adjoints and pairwise products."""
     basis = a.basis

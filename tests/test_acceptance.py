@@ -85,7 +85,7 @@ def test_criterion_1_factorization_roundtrip(algebras, algebra_files):
         payload = json.loads(out_path.read_text())
         shift = payload["shift"]
         members = [
-            pu.certify_member(a, jsonio.subspace_from_json(f))
+            pu.certify_member(a, pu.Subspace(jsonio.matrix_from_json(f)))
             for f in payload["factors"]
         ]
         # every factor certified in the invariant lattice

@@ -1,8 +1,12 @@
+import json
+import types
+
 import numpy as np
 import pytest
 
 import paraunitary as pu
-from paraunitary import axioms
+from paraunitary import axioms, jsonio, reporting
+from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import InputError
 from paraunitary.reporting import CheckReport
 
@@ -77,17 +81,53 @@ def test_gvm_passes(name):
 
 def test_a_nan_residual_is_a_recorded_failure():
     report = CheckReport("x", 2, 0)
-    report.record(0.0, lambda: "fine")
-    report.record(0.5, lambda: "large")
-    report.record(float("nan"), lambda: "broken")
+    report.record(0.0, {"sample": 0})
+    report.record(0.5, {"sample": 1})
+    report.record(float("nan"), {"sample": 2})
     # no later residual compares above a NaN, so none replaces it
-    report.record(0.1, lambda: "small")
+    report.record(0.1, {"sample": 3})
     assert not report.passed
-    assert [f["input"] for f in report.failures] == ["large", "broken", "small"]
+    assert [f["input"] for f in report.failures] == [{"sample": i} for i in (1, 2, 3)]
     assert np.isnan(report.max_error)
     as_json = report.to_json()
     assert as_json["max_error"] is None
     assert [f["residual"] for f in as_json["failures"]] == [0.5, None, 0.1]
+
+
+def _same_bits(back, held):
+    # a zero is written "-0" or "0", which JSON readers take for the integer 0,
+    # so it reads back unsigned; adding 0.0 unsigns the held zeros alike
+    held = held + 0.0
+    return back.shape == held.shape and back.tobytes() == held.tobytes()
+
+
+def _reparses_to(held, wire) -> bool:
+    """``wire``, as ``canonical_dumps`` wrote ``held``, reads back to its bytes."""
+    if isinstance(held, pu.Subspace):
+        return _same_bits(jsonio.matrix_from_json(wire), held.frame)
+    if isinstance(held, LaurentOp):
+        back = jsonio.laurent_from_json(wire)
+        return back.exponents == held.exponents and all(
+            _same_bits(back.coeff(e), held.coeff(e)) for e in held.exponents)
+    return wire == held
+
+
+def test_every_failure_input_is_written_and_reads_back(monkeypatch):
+    # reports read only ``eq``, and below zero it fails every residual
+    monkeypatch.setattr(reporting, "tolerances", lambda: types.SimpleNamespace(eq=-1.0))
+    a = doubled_algebra(2, seed=103)
+    reports = axioms.run_suite(a, samples=4, seed=0, n_points=3)
+    # order_unit records flags only: one power of t up, the lower bound fails
+    t_power = axioms.ppu_t_power
+    monkeypatch.setattr(axioms, "ppu_t_power", lambda a, k: t_power(a, k + 1))
+    reports.append(axioms.check_order_unit(a, samples=4, seed=0))
+    assert {r.check for r in reports if r.failures} == set(axioms.CHECK_NAMES)
+    written = json.loads(jsonio.canonical_dumps([r.to_json() for r in reports]))
+    for report, wire in zip(reports, written):
+        assert len(wire["failures"]) == len(report.failures)
+        for held, got in zip(report.failures, wire["failures"]):
+            assert sorted(got["input"]) == sorted(held["input"])
+            assert all(_reparses_to(v, got["input"][k]) for k, v in held["input"].items())
 
 
 def test_a_nan_among_a_samples_residuals_fails_the_check(monkeypatch):

@@ -72,7 +72,7 @@ def test_factor_diagonal_element(files, capsys):
     payload = json.loads(out)
     assert payload["shift"] == 0
     assert len(payload["factors"]) == 2
-    first = jsonio.subspace_from_json(payload["factors"][0])
+    first = pu.Subspace(jsonio.matrix_from_json(payload["factors"][0]))
     assert first.dim == 2
     assert json.loads(err)["reconstruction_residual"] <= 1e-8
 
@@ -98,6 +98,21 @@ def test_malformed_json_is_a_usage_error(files, capsys, tmp_path):
     code, _, err = run_cli(capsys, "factor", files["alg.json"], str(broken))
     assert code == 2
     assert json.loads(err)["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"\xff\xfe{}", b"1" * 5000, b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf-8", "integer-past-the-digit-limit", "nesting-past-the-recursion-limit"],
+)
+def test_unreadable_json_is_a_usage_error(capsys, tmp_path, text):
+    # each raised past the JSON decode handler and printed a traceback
+    element = tmp_path / "el.json"
+    element.write_bytes(text)
+    code, out, err = run_cli(capsys, "eval", str(element))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"].startswith(f"malformed JSON in {element}: ")
 
 
 def test_missing_file_is_a_usage_error(files, capsys):
@@ -168,7 +183,7 @@ def test_verify_reports_a_non_finite_residual_as_a_failed_check(files, capsys, m
     def broken_check(a, samples, seed):
         report = CheckReport("normality", samples, seed)
         for i in range(samples):
-            report.record(residual if i == 1 else 0.0, lambda i=i: {"sample": i})
+            report.record(residual if i == 1 else 0.0, {"sample": i})
         return report
 
     monkeypatch.setitem(axioms._ALGEBRA_CHECKS, "normality", broken_check)
@@ -402,14 +417,33 @@ def test_reused_parser_answers_like_a_fresh_one(files, capsys):
     calls = _calls_across_commands(files)
     fresh = []
     for argv in calls:
-        cli._shared_parser.cache_clear()
+        cli.build_parser.cache_clear()
         fresh.append(run_cli(capsys, *argv))
     reused = [run_cli(capsys, *argv) for argv in calls]
     assert reused == fresh
     # verify on three samples is inconclusive, so it exits 1
     assert [code for code, _, _ in fresh] == [0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 2, 0]
-    assert cli._shared_parser.cache_info().misses == 1
-    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "key, z, echo",
+    [
+        ("1" * 5000 + "x", "1", "bad exponent key '11111"),
+        ("0" * 5000, "1", "bad exponent key '00000"),
+        ("-" + "0" * 4000, "1", "duplicate exponent key '-0000"),
+        ("0", "q" * 5000, "cannot parse evaluation point 'qqqqq"),
+    ],
+    ids=["non-decimal-key", "key-past-the-digit-limit", "duplicate-key", "evaluation-point"],
+)
+def test_error_messages_clip_the_input_they_echo(capsys, tmp_path, key, z, echo):
+    element = tmp_path / "el.json"
+    element.write_text(json.dumps({"dim": 1, "coeffs": {
+        "0": jsonio.matrix_to_json(np.eye(1)), key: jsonio.matrix_to_json(np.eye(1))}}))
+    code, out, err = run_cli(capsys, "eval", str(element), "--z", z)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+    assert json.loads(err)["error"].startswith(echo)
 
 
 def test_huge_coefficient_is_an_input_error(tmp_path):

@@ -24,13 +24,10 @@ def test_matrix_schema_checks():
         jsonio.matrix_from_json({"rows": 2, "cols": 1, "data": [[[0, 0]]]})
 
 
-def test_subspace_loads_orthonormalized():
-    # columns are a spanning set, not necessarily orthonormal
-    obj = jsonio.matrix_to_json(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    s = jsonio.subspace_from_json(obj)
-    assert s.dim == 1
-    back = jsonio.subspace_from_json(jsonio.subspace_to_json(s))
-    assert pu.meet_subspace(s, back).dim == 1
+def test_subspace_frame_roundtrips_bitwise():
+    s = pu.orthonormal_basis(rand_matrix(np.random.default_rng(2), 4, 2))
+    back = pu.Subspace(jsonio.matrix_from_json(jsonio.subspace_to_json(s)))
+    assert back.frame.tobytes() == s.frame.tobytes()
 
 
 def test_laurent_roundtrip():
