@@ -10,11 +10,13 @@ and the elementary factors form a group-valued measure on it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import ppu
 from .laurent import LaurentOp, PpuElement, ppu_t_power
-from .numfield import InputError, subspace_residual
+from .numfield import InputError, Tolerances, subspace_residual, tolerances
 from .reporting import CheckReport, derive_seed
 from .star_algebra import (
     StarAlgebra,
@@ -156,18 +158,32 @@ def check_gvm(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckReport:
     return report
 
 
+# the commutant of the diagonal algebra on C^64 already takes the eigh of a
+# 4096 x 4096 matrix (about 30 s); on C^128 it would need about 4 GB
+MAX_POINTS = 64
+
+
 def diagonal_algebra(n_points: int) -> StarAlgebra:
+    """The diagonal algebra on C^n_points, one instance per point count and
+    active tolerances (an algebra is immutable, so it can be shared)."""
     if n_points < 1:
         raise InputError("need at least one point")
+    if n_points > MAX_POINTS:
+        raise InputError(f"at most {MAX_POINTS} points")
+    return _diagonal_algebra(int(n_points), tolerances())
+
+
+@functools.lru_cache(maxsize=4)
+def _diagonal_algebra(n_points: int, _: Tolerances) -> StarAlgebra:
     return generate_algebra(n_points, [np.diag(np.arange(1.0, n_points + 1.0))])
 
 
 def exponent_vector_element(a: StarAlgebra, vec) -> PpuElement:
     """diag(t^v1, ..., t^vn) as a group element over the diagonal algebra."""
-    vec = np.asarray(vec, dtype=int)
+    vec = [int(e) for e in vec]  # of any size
     coeffs: dict[int, np.ndarray] = {}
     for idx, e in enumerate(vec):
-        c = coeffs.setdefault(int(e), np.zeros((len(vec), len(vec)), dtype=np.complex128))
+        c = coeffs.setdefault(e, np.zeros((len(vec), len(vec)), dtype=np.complex128))
         c[idx, idx] = 1.0
     return PpuElement(LaurentOp(len(vec), coeffs), a)
 

@@ -13,11 +13,19 @@ elements is their meet (and, through ``phi^-1 t^k``, their join); the
 gcd of an element with itself peels it into degree-one factors.  Every
 rank decision is on the stacked constant coefficients, at most
 ``2n x n``, whatever the degree.
+
+An abelian algebra takes no peel.  Its atoms E_i are a basis of it, and
+its group is Z^k: every element is ``sum_i t^(v_i) E_i`` for one integer
+vector v, read off the coefficients and certified once per operand.
+The order is the pointwise one, so meet and join are the pointwise min
+and max, and the factors of a positive element are the unions of atoms
+whose exponent reaches each level.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -33,9 +41,11 @@ from .numfield import (
     Subspace,
     identity,
     kernel,
+    tolerances,
     zero_subspace,
 )
 from .star_algebra import (
+    Atoms,
     InvariantSubspace,
     StarAlgebra,
     certify_member,
@@ -112,9 +122,50 @@ def _peel(
     return peeled, ops
 
 
+def _exponent_vector(el: PpuElement, atoms: Atoms) -> list[int]:
+    """The v with ``el = sum_i t^(v_i) E_i``, certified, or ``NumericalError``.
+
+    ``C[e, i] = tr(E_i x_e) / m_i`` are the coordinates of the projection
+    pi(x_e) onto the algebra, and v_i is the exponent at which column i
+    peaks.  Since x_e - pi(x_e) is orthogonal to the algebra, and so to
+    the answer, ``||x - sum_i t^(v_i) E_i||^2`` is at most
+    ``sum_e mu^2 max(1, ||x_e||)^2 + sum_(e,i) m_i |C[e, i] - [e = v_i]|^2``,
+    mu the element's stored membership residual.  Divided by
+    ``max(1, ||x||, sqrt(n))`` that bounds what ``close_to`` measures
+    between the element and the answer, and it must be within ``eq``.
+    """
+    op = el.op
+    coords = op.stack.reshape(len(op.exponents), -1) @ atoms.dual
+    rows = coords.real.argmax(axis=0)
+    coords[rows, range(len(rows))] -= 1.0
+    mu = el.residuals["membership"]
+    scaled = np.maximum(1.0, op.norms)
+    bound = math.sqrt(
+        mu * mu * float(scaled @ scaled)
+        + float(np.add.reduce((coords.conj() * coords).real, axis=0) @ atoms.ranks)
+    )
+    scale = max(1.0, op.norm(), math.sqrt(op.dim))
+    if not bound / scale <= tolerances().eq:  # NaN fails too
+        raise NumericalError(
+            f"element is not an exponent vector over the atoms: bound {bound / scale:.3e}"
+        )
+    return [op.exponents[r] for r in rows.tolist()]
+
+
+def _from_exponent_vector(algebra: StarAlgebra, atoms: Atoms, v: list[int]) -> PpuElement:
+    """``sum_i t^(v_i) E_i``, certified."""
+    exponents = sorted(set(v))
+    stack = np.zeros((len(exponents), algebra.dim, algebra.dim), dtype=np.complex128)
+    for e, proj in zip(v, atoms.projectors):
+        stack[exponents.index(e)] += proj
+    return PpuElement(LaurentOp._make(algebra.dim, tuple(exponents), stack), algebra)
+
+
 def leq(a: PpuElement, b: PpuElement) -> bool:
     """Divisibility order: a <= b iff a^-1 b has only non-negative exponents."""
-    common_algebra(a, b)
+    atoms = common_algebra(a, b).atoms
+    if atoms is not None:
+        return all(x <= y for x, y in zip(_exponent_vector(a, atoms), _exponent_vector(b, atoms)))
     return in_positive_cone(a.op.star() * b.op)
 
 
@@ -144,15 +195,29 @@ def factor_positive(el: PpuElement) -> FactorList:
     The head of the element is its greatest common left divisor with t,
     so dividing by it lowers the top exponent by exactly one: the factor
     count equals the top exponent, and a head split over two steps shows
-    up as one factor too many.
+    up as one factor too many.  Over an abelian algebra the j-th head is
+    the union of the atoms whose exponent is at least j; a top exponent
+    that a peel might refuse is refused there too.
     """
     if not in_positive_cone(el):
         raise InputError("element is not in the positive cone")
-    members, (rest,) = _peel([el], el.algebra)
-    if len(members) != el.hi:
-        raise NumericalError(f"{len(members)} factors for top exponent {el.hi}")
-    if not rest.close_to(LaurentOp.t_power(el.op.dim, 0)):
-        raise NumericalError("factorization left a non-identity remainder")
+    atoms = el.algebra.atoms
+    if atoms is None:
+        members, (rest,) = _peel([el], el.algebra)
+        if len(members) != el.hi:
+            raise NumericalError(f"{len(members)} factors for top exponent {el.hi}")
+        if not rest.close_to(LaurentOp.t_power(el.op.dim, 0)):
+            raise NumericalError("factorization left a non-identity remainder")
+    else:
+        if el.op.dim * el.hi > MAX_PEEL_STEPS:
+            raise InputError(f"the greedy peel may need more than {MAX_PEEL_STEPS} steps")
+        w = _exponent_vector(el, atoms)
+        levels = sorted({wi for wi in w if wi > 0})
+        members = []
+        # the heads at the levels below = wi are the same union of atoms
+        for below, level in zip([0, *levels], levels):
+            frame = np.concatenate([f for f, wi in zip(atoms.frames, w) if wi >= level], axis=1)
+            members += [certify_member(el.algebra, Subspace(frame))] * (level - below)
     members = tuple(members)
     assembled = FactorList(0, members).assemble(el.algebra)
     if not assembled.op.close_to(el.op):
@@ -163,6 +228,10 @@ def factor_positive(el: PpuElement) -> FactorList:
 def meet(a: PpuElement, b: PpuElement) -> PpuElement:
     """Greatest lower bound: t^m times the left gcd of t^-m a and t^-m b."""
     algebra = common_algebra(a, b)
+    atoms = algebra.atoms
+    if atoms is not None:
+        v = map(min, _exponent_vector(a, atoms), _exponent_vector(b, atoms))
+        return _from_exponent_vector(algebra, atoms, list(v))
     m = min(a.lo, b.lo)
     members, _ = _peel([a.shifted(-m), b.shifted(-m)], algebra)
     return FactorList(-m, tuple(members)).assemble(algebra)
@@ -176,6 +245,10 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
     order is only left-invariant, so (a^-1 meet b^-1)^-1 is not the join.
     """
     algebra = common_algebra(a, b)
+    atoms = algebra.atoms
+    if atoms is not None:
+        v = map(max, _exponent_vector(a, atoms), _exponent_vector(b, atoms))
+        return _from_exponent_vector(algebra, atoms, list(v))
     k = max(a.hi, b.hi)
     members, _ = _peel([a.op.star().shifted(k), b.op.star().shifted(k)], algebra, right=True)
     op = LaurentOp.t_power(algebra.dim, k)

@@ -36,6 +36,11 @@ from .reporting import CheckReport, derive_seed
 
 # relative eigenvalue-gap threshold for grouping spectral projections
 CLUSTER_GAP = 1e-6
+# seed of the one Hermitian sample whose eigenspaces are an abelian
+# algebra's atoms
+ATOM_SEED = 0
+# an algebra's atoms before they are first asked for
+_PENDING = object()
 
 
 def _stack(n: int, mats) -> np.ndarray:
@@ -65,12 +70,13 @@ class StarAlgebra:
     commutant is computed from the basis and only checked against the
     generators, which cannot catch a basis larger than their closure.
     Neither array can change and an instance is immutable, so the
-    commutant and the certified identity are cached on it, and the
-    basis is kept as rows ``_vec`` and their conjugate transpose
+    commutant, the atoms and the certified identity are cached on it,
+    and the basis is kept as rows ``_vec`` and their conjugate transpose
     ``_vec_h``, both read-only.
     """
 
-    __slots__ = ("dim", "generators", "basis", "_vec", "_vec_h", "_commutant", "_identity")
+    __slots__ = ("dim", "generators", "basis", "_vec", "_vec_h", "_commutant", "_atoms",
+                 "_identity")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, generators, basis):
@@ -84,6 +90,7 @@ class StarAlgebra:
         vec_h.flags.writeable = False
         object.__setattr__(self, "_vec_h", vec_h)
         object.__setattr__(self, "_commutant", None)
+        object.__setattr__(self, "_atoms", _PENDING)
         # the certified identity group element, kept by laurent.ppu_t_power
         object.__setattr__(self, "_identity", None)
         gram = self._vec.conj() @ self._vec.T
@@ -119,6 +126,13 @@ class StarAlgebra:
             object.__setattr__(self, "_commutant", commutant(self))
         return self._commutant
 
+    @property
+    def atoms(self) -> "Atoms | None":
+        """The certified atoms if the algebra is abelian, else ``None``."""
+        if self._atoms is _PENDING:
+            object.__setattr__(self, "_atoms", abelian_atoms(self))
+        return self._atoms
+
     def same_span(self, other: "StarAlgebra") -> bool:
         if self.dim != other.dim or self.linear_dim != other.linear_dim:
             return False
@@ -148,6 +162,24 @@ def _peak_scaled(gens) -> list[np.ndarray]:
     norm overflows.
     """
     return [g / peak for g in gens if (peak := np.abs(g).max(initial=0.0)) > 0.0]
+
+
+def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Eigenvectors of a Hermitian matrix, as columns in ascending eigenvalue,
+    and the index lists of its eigenvalue clusters: a new cluster starts
+    where the gap exceeds CLUSTER_GAP times the spectral spread, and a
+    spread at rounding level leaves one cluster."""
+    vals, vecs = np.linalg.eigh(h)
+    n = len(vals)
+    spread = float(vals[-1] - vals[0]) if vals.size else 0.0
+    if spread <= 1e-12 * max(1.0, float(np.abs(vals).max(initial=0.0))):
+        return vecs, [list(range(n))]
+    clusters = [[0]]
+    for i in range(1, n):
+        if vals[i] - vals[i - 1] > CLUSTER_GAP * spread:
+            clusters.append([])
+        clusters[-1].append(i)
+    return vecs, clusters
 
 
 def _seed_span(n: int, gens) -> np.ndarray:
@@ -251,6 +283,67 @@ def commutant(a: StarAlgebra) -> StarAlgebra:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class Atoms:
+    """The minimal projections E_i of an abelian algebra, a basis of it.
+
+    ``frames[i]`` is an orthonormal ``n x m_i`` frame of the range of
+    E_i, and the frames side by side are unitary, so the E_i are
+    orthogonal and sum to the identity.  ``projectors`` is the read-only
+    ``(k, n, n)`` stack of the E_i, ``ranks`` holds the m_i, and ``dual``
+    is the ``(n^2, k)`` matrix that takes row-major vecs x to the
+    coordinates ``tr(E_i x) / m_i``.  No entry is a negative zero.
+    """
+
+    frames: tuple[np.ndarray, ...]
+    projectors: np.ndarray
+    ranks: np.ndarray
+    dual: np.ndarray
+
+
+def abelian_atoms(a: StarAlgebra) -> Atoms | None:
+    """The algebra's atoms, certified, or ``None`` if it is not abelian.
+
+    No abelian subalgebra of M_n has dimension above n, and an algebra is
+    abelian iff its generators and their adjoints commute (at the scale of
+    their largest entries, within ``eq``).  The atoms are then the joint
+    eigenspaces of the generators' Hermitian and skew parts: the
+    eigenvalue clusters of one real combination of those parts drawn from
+    ATOM_SEED.  Built from the generators, not the basis, diagonal
+    generators give atoms with exact 0/1 entries.  They are kept only if
+    there are as many as the algebra's dimension, each E_i lies in the
+    algebra within ``eq`` and the frames are orthonormal; otherwise (two
+    atoms in one cluster, say) the answer is ``None`` and callers peel.
+    """
+    n, eq = a.dim, tolerances().eq
+    if a.linear_dim > n:
+        return None
+    gens = _peak_scaled(a.generators)
+    mats = [m for g in gens for m in (g, g.conj().T)]
+    for i, x in enumerate(mats):
+        for y in mats[i + 1:]:
+            if not frob(x @ y - y @ x) <= eq:
+                return None
+    parts = [m for g in gens for m in ((g + g.conj().T) / 2, (g - g.conj().T) / 2j)]
+    weights = np.random.default_rng(ATOM_SEED).standard_normal(len(parts))
+    sample = np.tensordot(weights, parts, axes=1) if parts else np.zeros((n, n))
+    vecs, clusters = _eigen_clusters(sample)
+    if len(clusters) != a.linear_dim:
+        return None
+    # adding 0.0 turns every negative zero into a positive one
+    vecs = vecs + 0.0
+    frames = tuple(vecs[:, c] for c in clusters)
+    projectors = np.stack([f @ f.conj().T for f in frames]) + 0.0
+    if not (mat_residual(vecs.conj().T @ vecs, identity(n)) <= eq
+            and a.membership_residual(projectors) <= eq):
+        return None
+    ranks = np.array([f.shape[1] for f in frames])
+    dual = projectors.conj().reshape(len(frames), n * n).T / ranks
+    for array in (*frames, projectors, ranks, dual):
+        array.flags.writeable = False
+    return Atoms(frames, projectors, ranks, dual)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class InvariantSubspace:
     """A certified member of the invariant-subspace lattice of an algebra."""
 
@@ -303,17 +396,7 @@ def random_projection_in(a: StarAlgebra, seed: int) -> InvariantSubspace:
     """
     for attempt in range(16):
         rng = np.random.default_rng([int(seed), attempt])
-        h = a.hermitian_sample(rng)
-        vals, vecs = np.linalg.eigh(h)
-        spread = float(vals[-1] - vals[0]) if vals.size else 0.0
-        if spread <= 1e-12 * max(1.0, float(np.abs(vals).max(initial=0.0))):
-            clusters = [list(range(a.dim))]
-        else:
-            clusters = [[0]]
-            for i in range(1, a.dim):
-                if vals[i] - vals[i - 1] > CLUSTER_GAP * spread:
-                    clusters.append([])
-                clusters[-1].append(i)
+        vecs, clusters = _eigen_clusters(a.hermitian_sample(rng))
         chosen = rng.integers(0, 2, size=len(clusters)).astype(bool)
         cols = [vecs[:, idx] for c, keep in zip(clusters, chosen) if keep for idx in c]
         sub = (

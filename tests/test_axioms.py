@@ -7,7 +7,7 @@ import pytest
 import paraunitary as pu
 from paraunitary import axioms, jsonio, reporting
 from paraunitary.laurent import LaurentOp
-from paraunitary.numfield import InputError
+from paraunitary.numfield import InputError, tolerance_scope
 from paraunitary.reporting import CheckReport
 
 from conftest import diag_algebra, doubled_algebra, full_algebra, scalar_algebra
@@ -184,6 +184,28 @@ class TestCommutativeModel:
     def test_rejects_empty_model(self):
         with pytest.raises(InputError):
             axioms.check_commutative_model(0, samples=10, seed=0)
+
+    def test_rejects_more_than_64_points_before_building(self, monkeypatch):
+        monkeypatch.setattr(axioms, "generate_algebra", None)
+        for points in (65, 10**6):
+            with pytest.raises(InputError, match="at most 64 points"):
+                axioms.check_commutative_model(points, samples=1, seed=0)
+
+    def test_the_model_is_built_once_per_size_and_tolerances(self):
+        a = axioms.diagonal_algebra(3)
+        assert axioms.diagonal_algebra(3) is a
+        assert axioms.diagonal_algebra(4) is not a
+        with tolerance_scope(eq=1e-9):
+            b = axioms.diagonal_algebra(3)
+            assert b is not a and axioms.diagonal_algebra(3) is b
+        assert axioms.diagonal_algebra(3) is a
+
+    def test_exponent_vectors_take_no_peel(self, monkeypatch):
+        # the model checks the exponent-vector path against elements built
+        # coordinate by coordinate
+        monkeypatch.setattr(pu.ppu, "_peel", None)
+        report = axioms.check_commutative_model(3, samples=10, seed=4)
+        assert report.passed and report.failures == []
 
 
 class TestSuite:

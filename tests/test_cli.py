@@ -16,7 +16,15 @@ from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import full_subspace
 from paraunitary.reporting import CheckReport
 
-from conftest import ROOT, contains, diag_algebra, load_module, run_python
+from conftest import (
+    ROOT,
+    block_algebra,
+    contains,
+    diag_algebra,
+    full_algebra,
+    load_module,
+    run_python,
+)
 
 
 @pytest.fixture
@@ -527,33 +535,83 @@ def test_eval_off_the_circle_bounds_the_modulus_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "numerical"
 
 
-@pytest.mark.parametrize("argv, dim", [
-    (["factor"], 1),
-    (["factor"], 2),
-    (["lattice", "meet"], 2),
-    (["lattice", "join"], 2),
-])
-def test_peel_of_huge_degree_is_refused_quickly(capsys, tmp_path, argv, dim):
-    # t^N on C, or t^N diag(1, 0) + diag(0, 1) over the diagonal algebra on
-    # C^2, N = 10^30: the peel would take a step per unit of degree
+def _huge_degree_call(capsys, tmp_path, argv, algebra):
+    """``argv`` on t^N on C, or t^N diag(1, 0) + diag(0, 1) on C^2, N = 10^30."""
+    dim = algebra.dim
     proj = np.diag([1.0, 0.0][:dim])
     element = LaurentOp(dim, {10**30: proj, 0: np.eye(dim) - proj})
-    for name, payload in (("alg.json", jsonio.algebra_to_json(diag_algebra(dim))),
+    for name, payload in (("alg.json", jsonio.algebra_to_json(algebra)),
                           ("el.json", jsonio.laurent_to_json(element))):
         (tmp_path / name).write_text(jsonio.canonical_dumps(payload))
     operands = [str(tmp_path / "el.json")] * (1 if argv == ["factor"] else 2)
     start = time.process_time()
-    code, out, err = run_cli(capsys, *argv, str(tmp_path / "alg.json"), *operands)
+    result = run_cli(capsys, *argv, str(tmp_path / "alg.json"), *operands)
     assert time.process_time() - start < 10.0
+    return result, jsonio.canonical_dumps(jsonio.laurent_to_json(element)) + "\n"
+
+
+@pytest.mark.parametrize("argv, algebra", [
+    (["factor"], lambda: diag_algebra(1)),
+    (["factor"], lambda: diag_algebra(2)),
+    (["factor"], lambda: full_algebra(2)),
+    (["lattice", "meet"], lambda: full_algebra(2)),
+    (["lattice", "join"], lambda: full_algebra(2)),
+], ids=["factor-diagonal1", "factor-diagonal2", "factor-full2", "meet-full2", "join-full2"])
+def test_peel_of_huge_degree_is_refused_quickly(capsys, tmp_path, argv, algebra):
+    # the peel would take a step per unit of degree; over the diagonal
+    # algebra, factor would still list N factors
+    (code, out, err), _ = _huge_degree_call(capsys, tmp_path, argv, algebra())
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "input"
 
 
+@pytest.mark.parametrize("op", ["meet", "join"])
+def test_huge_degree_meet_and_join_are_exact_over_the_diagonal_algebra(capsys, tmp_path, op):
+    # exponent vectors take no peel: x meet x = x join x = x
+    (code, out, err), element = _huge_degree_call(
+        capsys, tmp_path, ["lattice", op], diag_algebra(2))
+    assert (code, out, err) == (0, element, "")
+
+
+@pytest.mark.parametrize("op, answer", [("meet", [1, 1, 0]), ("join", [10**30, 10**30, 0])])
+def test_loose_peel_bound_is_gone_over_the_diagonal_algebra(capsys, tmp_path, op, answer):
+    # the peel bound n min(hi) = 3 * 10^30 refused these; the answer is the
+    # pointwise min or max of the exponent vectors (N, 1, 0) and (1, N, 0)
+    a = diag_algebra(3)
+    paths = {}
+    for name, vec in (("x", [10**30, 1, 0]), ("y", [1, 10**30, 0]), ("want", answer)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        el = axioms.exponent_vector_element(a, vec)
+        (tmp_path / f"{name}.json").write_text(
+            jsonio.canonical_dumps(jsonio.laurent_to_json(el.op)) + "\n")
+    (tmp_path / "alg.json").write_text(jsonio.canonical_dumps(jsonio.algebra_to_json(a)))
+    code, out, err = run_cli(capsys, "lattice", op, str(tmp_path / "alg.json"),
+                             paths["x"], paths["y"])
+    assert (code, out, err) == (0, (tmp_path / "want.json").read_text(), "")
+
+
+@pytest.mark.parametrize("points", [65, 1000000])
+def test_verify_refuses_more_than_64_points(files, capsys, points):
+    # the diagonal algebra on C^1000000 failed to allocate with a traceback
+    code, out, err = run_cli(capsys, "verify", files["alg.json"], "--points", str(points))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err) == {"error": "at most 64 points", "kind": "input"}
+
+
 def test_factor_certifies_each_element_once(files, capsys, certifications):
-    # the input, the peel's remainder and the reassembled product, which
-    # also gives the reconstruction residual
+    # the input and the reassembled product, which also gives the
+    # reconstruction residual: an exponent vector leaves no remainder
     code, _, err = run_cli(capsys, "factor", files["alg.json"], files["el.json"])
     assert code == 0 and json.loads(err) == {"reconstruction_residual": 0}
+    assert len(certifications) == 2
+
+
+def test_factor_over_a_non_abelian_algebra_certifies_each_element_once(
+        block_files, capsys, certifications):
+    # the input, the peel's remainder and the reassembled product
+    code, _, err = run_cli(capsys, "factor", block_files["alg.json"], block_files["el.json"])
+    assert code == 0 and json.loads(err)["reconstruction_residual"] <= 1e-12
     assert len(certifications) == 3
 
 
@@ -641,15 +699,26 @@ def test_unknown_subcommand_exits_two():
     assert proc.returncode == 2
 
 
+@pytest.fixture
+def block_files(tmp_path):
+    """M_2 + C on C^3, which is not abelian, and t (1_2 + 0) + t^2 (0 + 1)."""
+    paths = {"alg.json": str(tmp_path / "alg.json"), "el.json": str(tmp_path / "el.json")}
+    el = LaurentOp(3, {1: np.diag([1.0, 1.0, 0.0]), 2: np.diag([0.0, 0.0, 1.0])})
+    for name, payload in (("alg.json", jsonio.algebra_to_json(block_algebra([2, 1]))),
+                          ("el.json", jsonio.laurent_to_json(el))):
+        (tmp_path / name).write_text(jsonio.canonical_dumps(payload) + "\n")
+    return paths
+
+
 def _non_member_line(n):
-    # the all-ones line is moved out of its span by diag(1, 0) in the
-    # commutant of the diagonal algebra, so it fails certification
+    # the all-ones line is moved out of its span by diag(1, 1, 0) in the
+    # commutant of M_2 + C, so it fails certification
     return pu.orthonormal_basis(np.ones((n, 1)))
 
 
 @pytest.mark.parametrize("op", ["meet", "join", "factor"])
 @pytest.mark.parametrize("fault", ["non-member-divisor", "negative-exponent"])
-def test_lattice_numerical_failure_exits_one(files, capsys, monkeypatch, op, fault):
+def test_lattice_numerical_failure_exits_one(block_files, capsys, monkeypatch, op, fault):
     # the divisor is the kernel of the operands' stacked constant coefficients
     if fault == "non-member-divisor":
         monkeypatch.setattr(ppu, "kernel", lambda m: _non_member_line(m.shape[1]))
@@ -658,7 +727,7 @@ def test_lattice_numerical_failure_exits_one(files, capsys, monkeypatch, op, fau
         # a full head divides by t, which leaves a t^-1 coefficient
         monkeypatch.setattr(ppu, "kernel", lambda m: full_subspace(m.shape[1]))
         message = "negative exponent"
-    alg, el = files["alg.json"], files["el.json"]
+    alg, el = block_files["alg.json"], block_files["el.json"]
     argv = ["factor", alg, el] if op == "factor" else ["lattice", op, alg, el, el]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""

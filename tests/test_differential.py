@@ -16,6 +16,9 @@ from paraunitary.numfield import InputError, identity, subspace_residual
 
 from conftest import (
     ReferenceLaurent,
+    block_diagonal_algebra,
+    diag_algebra,
+    doubled_algebra,
     rand_matrix,
     random_algebra,
     reference_convolve,
@@ -24,6 +27,7 @@ from conftest import (
     reference_meet,
     reference_random_ppu,
     reference_scattered,
+    scalar_algebra,
 )
 
 SCALES = [1.0, 1e-300, 1e-163, 1e200]
@@ -313,6 +317,93 @@ def test_lattice_operations_match_the_reference(n, draw):
     assert len(factors) == len(expected)
     for got, want in zip(factors, expected):
         assert subspace_residual(got.subspace, want) <= eq
+
+
+# abelian algebras and the coordinates that span each of their atoms
+ABELIAN = {
+    "scalars:2": (lambda: scalar_algebra(2), [[0, 1]]),
+    "diagonal:3": (lambda: diag_algebra(3), [[0], [1], [2]]),
+    "diagonal:4": (lambda: diag_algebra(4), [[0], [1], [2], [3]]),
+    "1_2+1_3": (lambda: block_diagonal_algebra([np.eye(2), 2 * np.eye(3)]), [[0, 1], [2, 3, 4]]),
+}
+
+
+def atomic_element(a, atoms, vec):
+    """sum_i t^(vec_i) E_i, E_i the coordinate projector onto ``atoms[i]``."""
+    coeffs = {}
+    for idx, e in zip(atoms, vec):
+        c = coeffs.setdefault(int(e), np.zeros((a.dim, a.dim)))
+        c[idx, idx] = 1.0
+    return pu.PpuElement(LaurentOp(a.dim, coeffs), a)
+
+
+@pytest.fixture
+def peels(monkeypatch):
+    """The calls of the greedy peel, counted."""
+    calls = []
+    peel = ppu._peel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return peel(*args, **kwargs)
+
+    monkeypatch.setattr(ppu, "_peel", counted)
+    return calls
+
+
+def negative_zeros(array):
+    parts = np.stack([array.real, array.imag])
+    return int(np.count_nonzero((parts == 0.0) & np.signbit(parts)))
+
+
+def exactly(got, want):
+    """Same exponents and bitwise the same 0/1 coefficients, no negative zero."""
+    return (got.op.exponents == want.op.exponents
+            and np.array_equal(got.op.stack, want.op.stack)
+            and set(got.op.stack.ravel().tolist()) <= {0, 1}
+            and negative_zeros(got.op.stack) == 0)
+
+
+@pytest.mark.parametrize("name", ABELIAN)
+def test_exponent_vectors_answer_as_the_peel_does(name, peels):
+    make, atoms = ABELIAN[name]
+    a = make()
+    assert a.atoms is not None and len(a.atoms.frames) == len(atoms)
+    rng = np.random.default_rng([len(name), 64])
+    eq = pu.tolerances().eq
+    for _ in range(6):
+        # gaps, negative exponents, and equal entries
+        u, v = (rng.choice([-7, -2, 0, 1, 5, 9], len(atoms)) for _ in range(2))
+        x, y = atomic_element(a, atoms, u), atomic_element(a, atoms, v)
+        meet, join = pu.meet(x, y), pu.join(x, y)
+        assert exactly(meet, atomic_element(a, atoms, np.minimum(u, v)))
+        assert exactly(join, atomic_element(a, atoms, np.maximum(u, v)))
+        assert meet.op.distance(reference_meet(x, y)) <= eq
+        assert join.op.distance(reference_join(x, y)) <= eq
+        for p, q, up, uq in ((x, y, u, v), (y, x, v, u), (x, meet, u, np.minimum(u, v))):
+            assert pu.leq(p, q) == bool(np.all(up <= uq))
+            assert pu.leq(p, q) == pu.in_positive_cone(p.op.star() * q.op)
+        w = u - u.min()
+        positive = atomic_element(a, atoms, w)
+        factors = pu.factor_positive(positive).factors
+        expected = reference_factors(positive)
+        assert len(factors) == len(expected) == w.max()
+        for got, want in zip(factors, expected):
+            assert subspace_residual(got.subspace, want) <= eq
+            assert negative_zeros(got.subspace.frame) == 0
+    assert peels == []
+
+
+def test_an_algebra_as_large_as_its_space_takes_the_peel(peels):
+    # doubled M_2 has linear dimension 4 on C^4 but is not abelian
+    a = doubled_algebra(2)
+    assert a.linear_dim == a.dim == 4 and a.atoms is None
+    x, y = pu.random_ppu(a, 3, 1, 5), pu.random_ppu(a, 2, 0, 6)
+    eq = pu.tolerances().eq
+    assert pu.meet(x, y).op.distance(reference_meet(x, y)) <= eq
+    assert pu.join(x, y).op.distance(reference_join(x, y)) <= eq
+    assert len(pu.factor_positive(y).factors) == len(reference_factors(y))
+    assert len(peels) == 3
 
 
 NAN = np.full((2, 2), np.nan)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
-from paraunitary import ppu
+from paraunitary import axioms, ppu
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import (
     InputError,
@@ -250,18 +250,49 @@ class TestFactorPositive:
         assert fl.assemble(a).close_to(el)
 
     def test_refuses_a_peel_bound_above_the_step_limit(self):
-        # a bound of n * hi = 2 * (2^15 + 1) steps, just above the limit
-        a = diag_algebra(2)
+        # a bound of n * hi = 2 * (2^15 + 1) steps, just above the limit;
+        # over the diagonal algebra factor would list as many factors, while
+        # meet and join are exact there and take no peel
         k = ppu.MAX_PEEL_STEPS // 2 + 1
-        el = pu.PpuElement(LaurentOp(2, {k: np.diag([1.0, 0.0]), 0: np.diag([0.0, 1.0])}), a)
-        for run in (pu.factor_positive, lambda x: pu.meet(x, x), lambda x: pu.join(x, x)):
+        coeffs = {k: np.diag([1.0, 0.0]), 0: np.diag([0.0, 1.0])}
+        diagonal = pu.PpuElement(LaurentOp(2, coeffs), diag_algebra(2))
+        full = pu.PpuElement(LaurentOp(2, coeffs), full_algebra(2))
+        for run, el in ((pu.factor_positive, diagonal), (pu.factor_positive, full),
+                        (lambda x: pu.meet(x, x), full), (lambda x: pu.join(x, x), full)):
             with pytest.raises(InputError, match="greedy peel"):
                 run(el)
+        for answer in (pu.meet(diagonal, diagonal), pu.join(diagonal, diagonal)):
+            assert answer.op.exponents == diagonal.op.exponents
+            assert np.array_equal(answer.op.stack, diagonal.op.stack)
 
-    def test_peel_without_a_step_answers_at_any_degree(self):
+    def test_huge_exponents_meet_and_join_over_the_diagonal_algebra(self):
+        # the peel bound n * min(hi) = 3 * 10^30 refused these
+        a, n = diag_algebra(3), 10**30
+        x, y = (axioms.exponent_vector_element(a, v) for v in ([n, 1, 0], [1, n, 0]))
+        for got, want in ((pu.meet(x, y), [1, 1, 0]), (pu.join(x, y), [n, n, 0])):
+            want = axioms.exponent_vector_element(a, want)
+            assert got.op.exponents == want.op.exponents
+            assert np.array_equal(got.op.stack, want.op.stack)
+        assert pu.leq(pu.meet(x, y), x) and not pu.leq(x, y)
+
+    def test_an_element_off_the_exponent_vectors_is_a_numerical_error(self):
+        # certified under a loose eq, diag(t (1 - d) + d, 1) is 1e-6 from
+        # every exponent vector; read under the default eq it must raise,
+        # never be taken for diag(t, 1) or diag(1, 1)
+        a, d = diag_algebra(2), 1e-6
+        with tolerance_scope(eq=1e-4):
+            x = pu.PpuElement(LaurentOp(2, {1: np.diag([1 - d, 0.0]), 0: np.diag([d, 1.0])}), a)
+        y = pu.ppu_t_power(a, 0)
+        for run in (pu.meet, pu.join, pu.leq):
+            with pytest.raises(NumericalError, match="not an exponent vector"):
+                run(x, y)
+
+    @pytest.mark.parametrize("make", [diag_algebra, full_algebra], ids=["diagonal", "full"])
+    def test_peel_without_a_step_answers_at_any_degree(self, make):
         # t^N P + (1 - P) and t^N (1 - P) + P share no head and no tail,
-        # so meet and join take no step: the pointwise min and max
-        a = diag_algebra(2)
+        # so meet and join take no step (over M_2, a peel; over the
+        # diagonal algebra, exponent vectors): the pointwise min and max
+        a = make(2)
         p, q, n = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 10**30
         x = pu.PpuElement(LaurentOp(2, {n: p, 0: q}), a)
         y = pu.PpuElement(LaurentOp(2, {n: q, 0: p}), a)
@@ -287,16 +318,18 @@ class TestFactorPositive:
     def test_split_head_is_caught_by_the_factor_count(self, monkeypatch):
         # the head of t is C^2; handing out one coordinate line first splits
         # it over two steps, whose two factors still multiply back to t
-        a = diag_algebra(2)
+        a = full_algebra(2)
         heads = iter([pu.orthonormal_basis(E1)])
         monkeypatch.setattr(ppu, "kernel", lambda m: next(heads, None) or kernel(m))
         with pytest.raises(NumericalError, match="2 factors for top exponent 1"):
             pu.factor_positive(pu.ppu_t_power(a, 1))
 
-    def test_reassembly_catches_a_factor_other_than_the_divisor(self, monkeypatch):
-        # the peel divides by p_M but records p_{M^perp}: the remainder is
-        # the identity and the count is right, only the product differs
-        a = diag_algebra(2)
+    @pytest.mark.parametrize("make", [diag_algebra, full_algebra], ids=["diagonal", "full"])
+    def test_reassembly_catches_a_factor_other_than_the_divisor(self, monkeypatch, make):
+        # the peel (over M_2) or the exponent vector (over the diagonal
+        # algebra) finds p_M but records p_{M^perp}: the count is right,
+        # only the product differs
+        a = make(2)
         monkeypatch.setattr(
             ppu, "certify_member",
             lambda alg, s: pu.certify_member(alg, pu.ortho_complement(s)),

@@ -509,6 +509,81 @@ class TestRandomProjection:
             assert pu.is_member_XAprime(a, m.subspace)
 
 
+class TestAtoms:
+    @pytest.mark.parametrize("kind", ["full:2", "doubled:2", "block:2+1"])
+    def test_a_non_abelian_algebra_has_none(self, kind):
+        a = {"full:2": lambda: full_algebra(2), "doubled:2": lambda: doubled_algebra(2),
+             "block:2+1": lambda: block_algebra([2, 1])}[kind]()
+        assert a.atoms is None
+
+    @pytest.mark.parametrize("make, ranks", [
+        (lambda: scalar_algebra(3), [3]),
+        (lambda: diag_algebra(4), [1, 1, 1, 1]),
+        (lambda: star_algebra.generate_algebra(5, [np.diag([1.0, 1.0, 2.0, 2.0, 2.0])]), [2, 3]),
+    ])
+    def test_an_abelian_algebra_has_certified_atoms(self, make, ranks):
+        a = make()
+        atoms = a.atoms
+        assert sorted(atoms.ranks.tolist()) == sorted(ranks)
+        assert a._commutant is None  # the commutant is not needed for them
+        frame = np.concatenate(atoms.frames, axis=1)
+        np.testing.assert_allclose(frame.conj().T @ frame, np.eye(a.dim), atol=1e-12)
+        assert contains(a, atoms.projectors)
+        np.testing.assert_allclose(atoms.projectors.sum(axis=0), np.eye(a.dim), atol=1e-12)
+        # coordinates tr(E_i x) / m_i through the dual
+        x = np.tensordot(np.arange(1.0, len(ranks) + 1.0), atoms.projectors, axes=1)
+        np.testing.assert_allclose(x.reshape(-1) @ atoms.dual, np.arange(1.0, len(ranks) + 1.0))
+        assert a.atoms is atoms
+        for array in (atoms.projectors, atoms.ranks, atoms.dual, *atoms.frames):
+            assert not array.flags.writeable
+
+    def test_a_rotated_diagonal_algebra_has_its_atoms(self):
+        u = np.linalg.qr(rand_matrix(np.random.default_rng(5), 3, 3))[0]
+        a = star_algebra.generate_algebra(3, [u @ np.diag([1.0, 2.0, 3.0]) @ u.conj().T])
+        projectors = [np.outer(u[:, i], u[:, i].conj()) for i in range(3)]
+        for e in a.atoms.projectors:
+            assert min(np.abs(e - p).max() for p in projectors) < 1e-12
+
+    def test_a_sample_that_merges_atoms_gives_none(self, monkeypatch):
+        # a gap threshold above every gap puts all eigenvalues in one cluster
+        monkeypatch.setattr(star_algebra, "CLUSTER_GAP", 2.0)
+        assert diag_algebra(3).atoms is None
+
+    def test_a_non_abelian_algebra_is_told_without_a_sample(self, monkeypatch):
+        # by its dimension alone (M_2), or by a commutator of its generators
+        # (doubled M_2, as large as its space)
+        full, doubled = full_algebra(2), doubled_algebra(2)
+
+        def refused(*args):
+            raise AssertionError("called")
+        monkeypatch.setattr(star_algebra, "_eigen_clusters", refused)
+        assert doubled.atoms is None
+        monkeypatch.setattr(star_algebra, "_peak_scaled", refused)
+        assert full.atoms is None
+
+    def test_atoms_hold_no_negative_zero(self, monkeypatch):
+        # an eigensolver may return -0.0 entries; atoms keep none of them
+        eigh = np.linalg.eigh
+
+        def signed_zeros(h):
+            vals, vecs = eigh(h)
+            return vals, -np.where(vecs == 0, 0.0, vecs)
+        a = diag_algebra(3)
+        monkeypatch.setattr(np.linalg, "eigh", signed_zeros)
+        atoms = a.atoms
+        for array in (*atoms.frames, atoms.projectors):
+            parts = np.stack([array.real, array.imag])
+            assert not np.any((parts == 0.0) & np.signbit(parts))
+
+    def test_atoms_outside_the_basis_give_none(self):
+        # a caller's pair whose basis is a rotated diagonal algebra: the
+        # diagonal generator's coordinate projectors are not in that span
+        u = np.linalg.qr(rand_matrix(np.random.default_rng(6), 3, 3))[0]
+        rotated = star_algebra.generate_algebra(3, [u @ np.diag([1.0, 2.0, 3.0]) @ u.conj().T])
+        lying = pu.StarAlgebra(3, [np.diag([1.0, 2.0, 3.0])], rotated.basis)
+        assert lying.atoms is None
+
+
 class TestOmlOps:
     def test_oplus_neutral_element(self):
         a = diag_algebra(3)
