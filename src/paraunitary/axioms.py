@@ -243,6 +243,8 @@ def run_suite(a: StarAlgebra, checks=None, samples: int = 100, seed: int = 0,
     unknown = [name for name in selected if name not in CHECK_NAMES]
     if unknown:
         raise InputError(f"unknown checks: {', '.join(unknown)}")
+    if not selected:
+        raise InputError("no checks selected")
     reports = []
     for name in sorted(selected):
         if name == "commutative_model":

@@ -309,39 +309,94 @@ def _product_residual(op: LaurentOp) -> float:
     return frob(acc)
 
 
-def _dft(points: int, offsets) -> np.ndarray:
-    """exp(2 pi i j e / points) for j < points and e in ``offsets``."""
+def _dft(points: int, offsets, rows) -> np.ndarray:
+    """exp(2 pi i j e / points) for j in ``rows`` and e in ``offsets``."""
     # reducing the phase mod points keeps every angle in [0, 2 pi)
-    turns = np.outer(np.arange(points), offsets) % points
+    turns = np.outer(rows, offsets) % points
     return np.exp((2j * np.pi / points) * turns)
 
 
 # a contiguous support of at most this many terms keeps its DFT matrix;
-# all of them together would hold 2.8 MB, and the peels and certificates
-# of degree-24 elements use at most about 50 terms
+# all of them together would hold 2.8 MB.  The peels and certificates of
+# degree-24 elements use at most about 50 terms, and the order decision
+# of two such elements reads the same matrices
 _KEPT_DFT_TERMS = 64
+# a support that is not kept is evaluated at this many points at a time,
+# so its DFT rows never outgrow the largest kept matrix's
+_DFT_BLOCK = 2 * _KEPT_DFT_TERMS - 1
 
 
 @functools.cache
 def _contiguous_dft(t: int) -> np.ndarray:
-    """``_dft(2 t - 1, range(t))``, read-only: the one DFT matrix of every
-    contiguous support of ``t`` terms."""
-    dft = _dft(2 * t - 1, np.arange(t))
+    """``_dft(2 t - 1, range(t), range(2 t - 1))``, read-only: the one DFT
+    matrix of every contiguous support of ``t`` terms."""
+    dft = _dft(2 * t - 1, np.arange(t), np.arange(2 * t - 1))
     dft.flags.writeable = False
     return dft
 
 
 def _circle_residual(op: LaurentOp, points: int) -> float:
-    """Root mean square of ||F(z)^H F(z) - 1||_F over the points-th roots of unity."""
+    """Root mean square of ||F(z)^H F(z) - 1||_F over the points-th roots of unity.
+
+    A support that is not kept is evaluated ``_DFT_BLOCK`` points at a
+    time, so its DFT rows take ``_DFT_BLOCK t`` entries, not ``points t``,
+    and the blocks' squared norms are summed (as one ``hypot``).  A
+    support whose points fit in one block takes one product, as a kept
+    one does.
+    """
     t = len(op.exponents)
     if op.hi - op.lo == t - 1 and t <= _KEPT_DFT_TERMS:
-        dft = _contiguous_dft(t)
+        blocks = [_contiguous_dft(t)]
     else:
         # exponents relative to lo fit in int64 even when lo does not
-        dft = _dft(points, [e - op.lo for e in op.exponents])
-    values = (dft @ op.stack.reshape(t, -1)).reshape(points, op.dim, op.dim)
-    gram = values.conj().swapaxes(1, 2) @ values
-    return frob(gram - identity(op.dim)) / math.sqrt(points)
+        offsets = np.array([e - op.lo for e in op.exponents])
+        blocks = (_dft(points, offsets, np.arange(j, min(j + _DFT_BLOCK, points)))
+                  for j in range(0, points, _DFT_BLOCK))
+    norms = []
+    for dft in blocks:
+        values = (dft @ op.stack.reshape(t, -1)).reshape(-1, op.dim, op.dim)
+        norms.append(frob(values.conj().swapaxes(1, 2) @ values - identity(op.dim)))
+    return math.hypot(*norms) / math.sqrt(points)
+
+
+def _star_product(a: LaurentOp, b: LaurentOp) -> LaurentOp:
+    """a* b, trimmed, for the order decision only.
+
+    When both supports are contiguous, ``t = max(t_a, t_b)`` is at most
+    ``_KEPT_DFT_TERMS`` and the ``m = 2 t - 1`` roots of unity are fewer
+    than the ``t_a t_b`` term pairs, the coefficients are read from the
+    values at those points, through the kept ``W = _contiguous_dft(t)``,
+    ``W[j, e] = w^(j e)``.  ``A = W a`` and ``B = W b`` are the values of
+    ``t^-lo_a a`` and ``t^-lo_b b``, so ``V_j = A_j^H B_j`` is that of
+    ``t^(lo_a - lo_b) a* b``, whose ``t_a + t_b - 1 <= m`` coefficients
+    the length-m DFT determines.  The one at exponent ``lo_b - hi_a + q``
+    is ``(1/m) sum_j w^(j (t_a - 1 - q)) V_j``: the inverse rows are W's
+    columns ``t_a - 1, ..., 0`` and the conjugates of its columns ``1,
+    ..., t_b - 1``.  That is two products with W, m products of ``n x n``
+    matrices and one inverse product, against the ``t_a t_b`` products
+    of the Cauchy product.
+
+    These coefficients agree with the Cauchy product ``a.star() * b`` to
+    rounding but are not bitwise equal to it, so they serve only the
+    order decision, which trims and certifies them as it would the exact
+    product.  Every other pair (a gapped support, more than
+    ``_KEPT_DFT_TERMS`` terms, a one-term operand) takes ``a.star() * b``.
+    """
+    ta, tb = len(a.exponents), len(b.exponents)
+    t = max(ta, tb)
+    points = 2 * t - 1
+    if not (a.hi - a.lo == ta - 1 and b.hi - b.lo == tb - 1
+            and t <= _KEPT_DFT_TERMS and points < ta * tb):
+        return a.star() * b
+    a._binary_check(b)
+    n = a.dim
+    dft = _contiguous_dft(t)
+    values_a = (dft[:, :ta] @ a.stack.reshape(ta, -1)).reshape(points, n, n)
+    values_b = (dft[:, :tb] @ b.stack.reshape(tb, -1)).reshape(points, n, n)
+    values = (values_a.conj().swapaxes(1, 2) @ values_b).reshape(points, -1)
+    stack = np.concatenate([dft[:, ta - 1::-1].T @ values, dft[:, 1:tb].T.conj() @ values])
+    return LaurentOp._make(n, tuple(range(b.lo - a.hi, b.hi - a.lo + 1)),
+                           (stack / points).reshape(-1, n, n))
 
 
 def paraunitarity_residual(op: LaurentOp) -> float:

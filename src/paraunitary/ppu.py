@@ -32,6 +32,7 @@ import numpy as np
 from .laurent import (
     LaurentOp,
     PpuElement,
+    _star_product,
     common_algebra,
     in_positive_cone,
 )
@@ -162,11 +163,18 @@ def _from_exponent_vector(algebra: StarAlgebra, atoms: Atoms, v: list[int]) -> P
 
 
 def leq(a: PpuElement, b: PpuElement) -> bool:
-    """Divisibility order: a <= b iff a^-1 b has only non-negative exponents."""
+    """Divisibility order: a <= b iff a^-1 b = a* b is in the positive cone.
+
+    Over an abelian algebra this is the pointwise order of the exponent
+    vectors.  Otherwise a* b is formed by ``laurent._star_product``, from
+    the values at the roots of unity where both supports are contiguous
+    and short, else by the Cauchy product, and then trimmed and certified
+    pure as any element's cone test is.
+    """
     atoms = common_algebra(a, b).atoms
     if atoms is not None:
         return all(x <= y for x, y in zip(_exponent_vector(a, atoms), _exponent_vector(b, atoms)))
-    return in_positive_cone(a.op.star() * b.op)
+    return in_positive_cone(_star_product(a.op, b.op))
 
 
 @dataclasses.dataclass(frozen=True)

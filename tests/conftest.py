@@ -378,6 +378,11 @@ def reference_convolve(a, b):
     return exponents, out
 
 
+def reference_leq(a, b):
+    """The order from the exact Cauchy product: a* b, trimmed, tested for the positive cone."""
+    return laurent.in_positive_cone(a.op.star() * b.op)
+
+
 def reference_scattered(dim, parts):
     """The sum of ``(exponents, stack)`` parts: zeros, then one indexed
     in-place add per part, in the order given.  Returns the sorted

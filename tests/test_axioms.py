@@ -226,6 +226,10 @@ class TestSuite:
         with pytest.raises(InputError):
             axioms.run_suite(diag_algebra(2), checks=["nonsense"], samples=25, seed=0)
 
+    def test_rejects_an_empty_selection(self):
+        with pytest.raises(InputError, match="no checks selected"):
+            axioms.run_suite(diag_algebra(2), checks=[], samples=25, seed=0)
+
     def test_full_pass_is_the_structure_group_evidence(self):
         # all checks green on one instance certifies the isomorphism there
         reports = axioms.run_suite(full_algebra(2, seed=104), samples=40, seed=11)

@@ -313,8 +313,12 @@ def test_infinite_tolerance_cannot_pass_a_non_paraunitary_factor(files, capsys, 
         (["verify", "--samples", "-1"], "sample count must be non-negative"),
         (["random", "--seed", "-1"], "seed must be non-negative"),
         (["random", "--factors", "-1"], "factor count must be non-negative"),
+        # an empty selection would verify nothing and exit 0
+        (["verify", "--checks", ""], "no checks selected"),
+        (["verify", "--checks", ","], "no checks selected"),
     ],
-    ids=["verify-seed", "verify-samples", "random-seed", "random-factors"],
+    ids=["verify-seed", "verify-samples", "random-seed", "random-factors",
+         "verify-no-checks", "verify-comma-checks"],
 )
 def test_negative_counts_are_input_errors(files, capsys, argv, message):
     command, *flags = argv

@@ -1,13 +1,18 @@
 """The stacked ``LaurentOp`` and the one-kernel peel against the reference
 implementations in ``conftest`` (dict per coefficient, pair-loop products
 with explicit elementary factors, heads met by three SVDs).  The Cauchy
-product must also match the pair loop over two stacks bitwise."""
+product must also match the pair loop over two stacks bitwise, and the
+order, which reads a* b on the unit circle, must decide as that product
+does."""
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paraunitary as pu
 from paraunitary import laurent, ppu
@@ -19,11 +24,13 @@ from conftest import (
     block_diagonal_algebra,
     diag_algebra,
     doubled_algebra,
+    load_module,
     rand_matrix,
     random_algebra,
     reference_convolve,
     reference_factors,
     reference_join,
+    reference_leq,
     reference_meet,
     reference_random_ppu,
     reference_scattered,
@@ -259,6 +266,114 @@ def test_unit_circle_residual_matches_a_fresh_dft(support):
         # the first call may build the kept DFT, the second reuses it
         for _ in range(2):
             assert laurent.paraunitarity_residual(x) == fresh_circle_residual(x)
+
+
+def random_stack_op(rng, n, exponents):
+    return LaurentOp(n, {e: rand_matrix(rng, n, n) for e in exponents})
+
+
+@pytest.mark.parametrize("terms, step", [(500, 1), (200, 2)], ids=["long", "gapped"])
+def test_blocked_circle_residual_matches_one_dft(terms, step):
+    # neither support keeps its DFT, and its points span several blocks
+    rng = np.random.default_rng([terms, 72])
+    op = random_stack_op(rng, 2, range(0, step * terms, step))
+    assert 2 * (op.hi - op.lo) + 1 > laurent._DFT_BLOCK
+    residual = laurent.paraunitarity_residual(op)
+    assert residual == pytest.approx(fresh_circle_residual(op), rel=1e-12, abs=0.0)
+
+
+def test_a_long_support_is_certified_in_bounded_memory():
+    # its whole 5,999 x 3,000 DFT matrix would take 288 MB
+    rng = np.random.default_rng(73)
+    op = random_stack_op(rng, 2, range(3000))
+    tracemalloc.start()
+    try:
+        residual = laurent.paraunitarity_residual(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    assert math.isfinite(residual) and residual > 0.0
+
+
+# the order corpus: three non-abelian algebras, degrees up to 48 (where the
+# trim cuts the ends of an element), four seeds
+ORDER_SPECS = ["full:3", "doubled:3", "block:2+3+3"]
+ORDER_DEGREES = [4, 8, 16, 24, 48]
+
+
+@functools.cache
+def order_pairs(spec):
+    """(x, x p), (x p, x), (x, y), (y, x), (x, x) and t^(+-1) x against x p, per degree and seed."""
+    inputs = load_module("bench/inputs.py")
+    a = inputs.build_algebra(spec, 1)
+    pairs = []
+    for k in ORDER_DEGREES:
+        for s in range(4):
+            x = pu.random_ppu(a, k, s % 3, 600 + s)
+            y = pu.random_ppu(a, k, 0, 700 + s)
+            xp = x * inputs.nonzero_factor(a, 800 + s)
+            pairs += [(x, xp), (xp, x), (x, y), (y, x), (x, x),
+                      (x.shifted(1), xp), (x.shifted(-1), xp)]
+    return pairs
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS)
+def test_leq_decides_as_the_cauchy_product_does(spec, monkeypatch):
+    pairs = order_pairs(spec)
+    want = [reference_leq(x, y) for x, y in pairs]
+    assert True in want and False in want
+    products = []
+    multiply = LaurentOp.__mul__
+    monkeypatch.setattr(LaurentOp, "__mul__", lambda a, b: products.append(a) or multiply(a, b))
+    assert [ppu.leq(x, y) for x, y in pairs] == want
+    # every support here is contiguous and longer than one term
+    assert products == []
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS)
+def test_circle_coefficients_match_the_cauchy_product(spec):
+    for x, y in order_pairs(spec):
+        got, want = laurent._star_product(x.op, y.op), x.op.star() * y.op
+        assert got.exponents == want.exponents
+        assert got.distance(want) <= 1e-13
+
+
+def declined_pairs():
+    rng = np.random.default_rng(74)
+    n = 3
+    proj = np.diag([1.0, 0.0, 1.0])
+    contiguous = random_stack_op(rng, n, range(-2, 3))
+    return {
+        "gapped": (contiguous, random_stack_op(rng, n, (0, 1, 3, 4))),
+        "huge-gap": (contiguous, LaurentOp(n, {10**30: proj, 0: np.eye(n) - proj})),
+        "long": (random_stack_op(rng, n, range(65)), random_stack_op(rng, n, range(5, 70))),
+        "one-term-left": (LaurentOp(n, {7: rand_matrix(rng, n, n)}), contiguous),
+        "one-term-right": (contiguous, LaurentOp.t_power(n, -(10**30))),
+        "zero": (LaurentOp(n, {}), contiguous),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["gapped", "huge-gap", "long", "one-term-left", "one-term-right", "zero"]
+)
+def test_declined_pairs_take_the_cauchy_product(case):
+    a, b = declined_pairs()[case]
+    got, want = laurent._star_product(a, b), a.star() * b
+    assert got.exponents == want.exponents
+    assert got.stack.tobytes() == want.stack.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3), st.integers(0, 10**6))
+def test_circle_star_product_of_random_stacks(ta, tb, n, seed):
+    rng = np.random.default_rng([seed, 75])
+    la, lb = big_shift(rng), big_shift(rng)
+    a = random_stack_op(rng, n, range(la, la + ta))
+    b = random_stack_op(rng, n, range(lb, lb + tb))
+    got, want = laurent._star_product(a, b), a.star() * b
+    assert got.exponents == want.exponents
+    assert got.distance(want) <= 1e-13
 
 
 def test_kept_constants_are_read_only():
