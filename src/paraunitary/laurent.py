@@ -19,7 +19,16 @@ from typing import NoReturn
 
 import numpy as np
 
-from .numfield import InputError, NumericalError, _immutable, as_matrix, frob, identity, tolerances
+from .numfield import (
+    InputError,
+    NumericalError,
+    Subspace,
+    _immutable,
+    as_matrix,
+    frob,
+    identity,
+    tolerances,
+)
 from .star_algebra import StarAlgebra
 
 
@@ -34,13 +43,15 @@ def _scaled_norms(stack: np.ndarray) -> np.ndarray:
     return peaks * frob(moduli / np.where(peaks > 0.0, peaks, 1.0)[:, None, None], axis=(1, 2))
 
 
-def _trim(exponents: tuple, stack: np.ndarray):
+def _trim(exponents: tuple, stack: np.ndarray, norms=None):
     """Drop the coefficients with norm at or below ``trim`` times the largest.
 
-    Returns the surviving exponents, their stack and their norms.
+    ``norms``, if given, must be the stack's Frobenius norms.  Returns the
+    surviving exponents, their stack and their norms.
     """
     trim = tolerances().trim
-    norms = frob(stack, axis=(1, 2))
+    if norms is None:
+        norms = frob(stack, axis=(1, 2))
     peak = np.maximum.reduce(norms, initial=0.0)
     if not math.isfinite(peak):
         raise InputError("coefficient norm overflows")
@@ -128,7 +139,8 @@ class LaurentOp:
 
     @classmethod
     def t_power(cls, dim: int, k: int) -> "LaurentOp":
-        return cls._make(dim, (int(k),), identity(dim)[None].astype(np.complex128))
+        """t^k: the t^0 kept per size, shifted."""
+        return _t_zero(int(dim)).shifted(k)
 
     @property
     def coeffs(self) -> types.MappingProxyType:
@@ -171,24 +183,37 @@ class LaurentOp:
         self._binary_check(other)
         return LaurentOp._make(self.dim, *_convolve(self, other))
 
-    def times_elementary(self, proj: np.ndarray, power: int, on_left: bool = False) -> "LaurentOp":
-        """self p^power, or with ``on_left`` p^power self, p = t proj + (1 - proj).
+    def times_elementary(self, s: Subspace, power: int, on_left: bool = False) -> "LaurentOp":
+        """self p^power, or with ``on_left`` p^power self, p = t pi + (1 - pi), pi = pi_s.
 
-        ``proj`` must be an orthogonal projection, so p^power = t^power proj
-        + (1 - proj) for every integer power.  Its two coefficients are
-        trimmed as a dict-built p's are, so a projector within rounding of
-        1 leaves no 1 - proj term, and each multiplies the whole stack in
-        one batched product.
+        p^power = t^power pi + (1 - pi) for every integer power.  Its two
+        coefficients, the subspace's kept pair, are trimmed against the
+        active ``trim`` as a dict-built p's are, so a projector within
+        rounding of 1 leaves no 1 - pi term.  Where both survive on a
+        contiguous support of at least ``|power|`` terms, one stacked
+        product forms both products and two slice adds sum them into zeros
+        in ``_summed``'s order, bitwise its sum; otherwise ``_summed`` adds
+        the kept terms' products.
         """
-        terms = np.stack([identity(self.dim) - proj, proj])
-        shifts, terms, _ = _trim((0, int(power)), terms)
-        return _summed(
-            self.dim,
-            *[
-                (_shift(self.exponents, k), c @ self.stack if on_left else self.stack @ c)
-                for k, c in zip(shifts, terms)
-            ],
-        )
+        power = int(power)
+        shifts, terms, _ = _trim((0, power), *s.elementary_pair())
+        t = len(self.exponents)
+        if len(shifts) < 2 or self.hi - self.lo != t - 1 or abs(power) > t:
+            return _summed(
+                self.dim,
+                *[
+                    (_shift(self.exponents, k), c @ self.stack if on_left else self.stack @ c)
+                    for k, c in zip(shifts, terms)
+                ],
+            )
+        products = terms[:, None] @ self.stack if on_left else self.stack @ terms[:, None]
+        # the copies start at rows ``first`` (1 - pi) and ``first + power`` (pi)
+        first = -min(0, power)
+        out = np.zeros((t + abs(power), self.dim, self.dim), dtype=np.complex128)
+        out[first:first + t] += products[0]
+        out[first + power:first + power + t] += products[1]
+        exponents = tuple(range(self.lo - first, self.lo - first + t + abs(power)))
+        return LaurentOp._make(self.dim, exponents, out)
 
     def shifted(self, k: int) -> "LaurentOp":
         return LaurentOp._make(self.dim, _shift(self.exponents, k), self.stack, self.norms)
@@ -209,14 +234,30 @@ class LaurentOp:
         return math.hypot(*self.norms.tolist())
 
     def distance(self, other: "LaurentOp") -> float:
-        """Relative coefficientwise distance, scaled by max(1, norms)."""
-        return (self - other).norm() / max(1.0, self.norm(), other.norm())
+        """Relative coefficientwise distance, scaled by max(1, norms).
+
+        Operands on the same exponents subtract their stacks at once:
+        entrywise the sum that ``self - other`` adds into zeros, up to the
+        sign of a zero, which no norm sees.
+        """
+        if (isinstance(other, LaurentOp) and other.dim == self.dim
+                and other.exponents == self.exponents):
+            diff = LaurentOp._make(self.dim, self.exponents, self.stack - other.stack)
+        else:
+            diff = self - other
+        return diff.norm() / max(1.0, self.norm(), other.norm())
 
     def close_to(self, other: "LaurentOp") -> bool:
         return self.distance(other) <= tolerances().eq
 
     def __repr__(self):
         return f"LaurentOp(dim={self.dim}, support={list(self.exponents)})"
+
+
+@functools.lru_cache(maxsize=64)
+def _t_zero(dim: int) -> LaurentOp:
+    """t^0 of size ``dim``, built once per size as ``identity(dim)`` is."""
+    return LaurentOp._make(dim, (0,), identity(dim)[None].astype(np.complex128))
 
 
 def _shift(exponents: tuple, k: int) -> tuple:
@@ -324,6 +365,11 @@ _KEPT_DFT_TERMS = 64
 # a support that is not kept is evaluated at this many points at a time,
 # so its DFT rows never outgrow the largest kept matrix's
 _DFT_BLOCK = 2 * _KEPT_DFT_TERMS - 1
+# below this many terms in the longer operand, the order's a* b costs less
+# as the Cauchy product than on the unit circle, whose fixed cost is about
+# eight NumPy calls (interleaved timing, one BLAS thread: 4 x 4 terms read
+# 1.01-1.03x the Cauchy product's time, 5 x 5 0.88x, 6 x 7 0.81-0.89x)
+_CIRCLE_MIN_TERMS = 5
 
 
 @functools.cache
@@ -362,31 +408,32 @@ def _circle_residual(op: LaurentOp, points: int) -> float:
 def _star_product(a: LaurentOp, b: LaurentOp) -> LaurentOp:
     """a* b, trimmed, for the order decision only.
 
-    When both supports are contiguous, ``t = max(t_a, t_b)`` is at most
-    ``_KEPT_DFT_TERMS`` and the ``m = 2 t - 1`` roots of unity are fewer
-    than the ``t_a t_b`` term pairs, the coefficients are read from the
-    values at those points, through the kept ``W = _contiguous_dft(t)``,
-    ``W[j, e] = w^(j e)``.  ``A = W a`` and ``B = W b`` are the values of
-    ``t^-lo_a a`` and ``t^-lo_b b``, so ``V_j = A_j^H B_j`` is that of
-    ``t^(lo_a - lo_b) a* b``, whose ``t_a + t_b - 1 <= m`` coefficients
-    the length-m DFT determines.  The one at exponent ``lo_b - hi_a + q``
-    is ``(1/m) sum_j w^(j (t_a - 1 - q)) V_j``: the inverse rows are W's
-    columns ``t_a - 1, ..., 0`` and the conjugates of its columns ``1,
-    ..., t_b - 1``.  That is two products with W, m products of ``n x n``
-    matrices and one inverse product, against the ``t_a t_b`` products
-    of the Cauchy product.
+    When both supports are contiguous, ``t = max(t_a, t_b)`` is at least
+    ``_CIRCLE_MIN_TERMS`` and at most ``_KEPT_DFT_TERMS``, and the ``m = 2
+    t - 1`` roots of unity are fewer than the ``t_a t_b`` term pairs, the
+    coefficients are read from the values at those points, through the
+    kept ``W = _contiguous_dft(t)``, ``W[j, e] = w^(j e)``.  ``A = W a``
+    and ``B = W b`` are the values of ``t^-lo_a a`` and ``t^-lo_b b``, so
+    ``V_j = A_j^H B_j`` is that of ``t^(lo_a - lo_b) a* b``, whose ``t_a
+    + t_b - 1 <= m`` coefficients the length-m DFT determines.  The one
+    at exponent ``lo_b - hi_a + q`` is ``(1/m) sum_j w^(j (t_a - 1 - q))
+    V_j``: the inverse rows are W's columns ``t_a - 1, ..., 0`` and the
+    conjugates of its columns ``1, ..., t_b - 1``.  That is two products
+    with W, m products of ``n x n`` matrices and one inverse product,
+    against the ``t_a t_b`` products of the Cauchy product.
 
     These coefficients agree with the Cauchy product ``a.star() * b`` to
     rounding but are not bitwise equal to it, so they serve only the
     order decision, which trims and certifies them as it would the exact
-    product.  Every other pair (a gapped support, more than
-    ``_KEPT_DFT_TERMS`` terms, a one-term operand) takes ``a.star() * b``.
+    product.  Every other pair (a gapped support, fewer than
+    ``_CIRCLE_MIN_TERMS`` or more than ``_KEPT_DFT_TERMS`` terms, a
+    one-term operand) takes ``a.star() * b``.
     """
     ta, tb = len(a.exponents), len(b.exponents)
     t = max(ta, tb)
     points = 2 * t - 1
     if not (a.hi - a.lo == ta - 1 and b.hi - b.lo == tb - 1
-            and t <= _KEPT_DFT_TERMS and points < ta * tb):
+            and _CIRCLE_MIN_TERMS <= t <= _KEPT_DFT_TERMS and points < ta * tb):
         return a.star() * b
     a._binary_check(b)
     n = a.dim

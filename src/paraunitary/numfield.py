@@ -134,20 +134,25 @@ class Subspace:
     """Closed subspace of C^n held as a frame with orthonormal columns.
 
     The frame is a read-only copy of the caller's and a subspace is
-    immutable, so its projector is computed once, on first use, and kept.
+    immutable, so its projector and its elementary pair are each computed
+    once, on first use, and kept.
     """
 
-    __slots__ = ("frame", "_projector")
+    __slots__ = ("frame", "_projector", "_pair")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, frame):
         f = as_matrix(np.array(frame, dtype=np.complex128))
         gram = f.conj().T @ f
-        if not mat_residual(gram, identity(f.shape[1])) <= tolerances().eq:  # NaN fails too
+        # mat_residual(gram, identity(r)), whose ||identity(r)||_F is exactly sqrt(r)
+        r = f.shape[1]
+        residual = frob(gram - identity(r)) / max(1.0, frob(gram), math.sqrt(r))
+        if not residual <= tolerances().eq:  # NaN fails too
             raise InputError("frame columns are not orthonormal")
         f.flags.writeable = False
         object.__setattr__(self, "frame", f)
         object.__setattr__(self, "_projector", None)
+        object.__setattr__(self, "_pair", None)
 
     @property
     def ambient_dim(self) -> int:
@@ -164,6 +169,21 @@ class Subspace:
             proj.flags.writeable = False
             object.__setattr__(self, "_projector", proj)
         return self._projector
+
+    def elementary_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only stack ``(1 - pi, pi)`` and its two Frobenius norms.
+
+        They are the coefficients of ``t^0`` and ``t^k`` in ``p^k = t^k pi +
+        (1 - pi)``, untrimmed: each use trims them against the active
+        ``trim``.
+        """
+        if self._pair is None:
+            proj = self.projector()
+            pair = np.stack([identity(self.ambient_dim) - proj, proj])
+            norms = frob(pair, axis=(1, 2))
+            pair.flags.writeable = norms.flags.writeable = False
+            object.__setattr__(self, "_pair", (pair, norms))
+        return self._pair
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -33,6 +33,7 @@ from .laurent import (
     LaurentOp,
     PpuElement,
     _star_product,
+    _trim,
     common_algebra,
     in_positive_cone,
 )
@@ -40,7 +41,6 @@ from .numfield import (
     InputError,
     NumericalError,
     Subspace,
-    identity,
     kernel,
     tolerances,
     zero_subspace,
@@ -58,9 +58,8 @@ MAX_PEEL_STEPS = 2**16
 
 
 def _elementary(s: Subspace) -> LaurentOp:
-    """p_s = t pi_s + (1 - pi_s)."""
-    proj = s.projector()
-    return LaurentOp._make(s.ambient_dim, (0, 1), np.stack([identity(s.ambient_dim) - proj, proj]))
+    """p_s = t pi_s + (1 - pi_s), from the subspace's kept pair."""
+    return LaurentOp._make(s.ambient_dim, *_trim((0, 1), *s.elementary_pair()))
 
 
 def p_of(member: InvariantSubspace) -> PpuElement:
@@ -101,8 +100,11 @@ def _peel(
     cap = algebra.dim * min(op.hi for op in ops)
     peeled: list[InvariantSubspace] = []
     while min(op.hi for op in ops) > 0:
-        constants = [op.coeff(0) if right else op.coeff(0).conj().T for op in ops]
-        s = kernel(np.concatenate(constants))
+        # x_0 is read from the stack, not copied, where it is the first term
+        constants = [op.stack[0] if op.lo == 0 else op.coeff(0) for op in ops]
+        if not right:
+            constants = [c.conj().T for c in constants]
+        s = kernel(constants[0] if len(ops) == 1 else np.concatenate(constants))
         if s.dim == 0:
             break
         if cap > MAX_PEEL_STEPS:
@@ -113,8 +115,7 @@ def _peel(
             member = certify_member(algebra, s)
         except InputError as exc:
             raise NumericalError(f"divisor {len(peeled) + 1} failed certification") from exc
-        proj = s.projector()
-        ops = [op.times_elementary(proj, -1, on_left=not right) for op in ops]
+        ops = [op.times_elementary(s, -1, on_left=not right) for op in ops]
         if min(op.lo for op in ops) < 0:
             raise NumericalError(f"negative exponent after divisor {len(peeled) + 1}")
         peeled.append(member)
@@ -193,7 +194,7 @@ class FactorList:
     def assemble(self, algebra: StarAlgebra) -> PpuElement:
         op = LaurentOp.t_power(algebra.dim, -self.shift)
         for member in self.factors:
-            op = op.times_elementary(member.subspace.projector(), 1)
+            op = op.times_elementary(member.subspace, 1)
         return PpuElement(op, algebra)
 
 
@@ -261,7 +262,7 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
     members, _ = _peel([a.op.star().shifted(k), b.op.star().shifted(k)], algebra, right=True)
     op = LaurentOp.t_power(algebra.dim, k)
     for member in members:
-        op = op.times_elementary(member.subspace.projector(), -1)
+        op = op.times_elementary(member.subspace, -1)
     return PpuElement(op, algebra)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import paraunitary as pu
 from paraunitary import laurent, ppu
 from paraunitary.laurent import LaurentOp
-from paraunitary.numfield import InputError, identity, subspace_residual
+from paraunitary.numfield import InputError, identity, subspace_residual, tolerance_scope
 
 from conftest import (
     ReferenceLaurent,
@@ -191,13 +191,14 @@ def test_sums_add_each_part_as_the_reference_does(left, right, paths):
     assert exponents == ref_exponents
     assert stack.tobytes() == ref_stack.tobytes()
     # a product with p = t^power proj + (1 - proj) adds two shifted copies
-    proj = pu.orthonormal_basis(rand_matrix(rng, n, 2)).projector()
+    s = pu.orthonormal_basis(rand_matrix(rng, n, 2))
+    proj = s.projector()
     for op in ops:
         for power, on_left in itertools.product((1, -1), (False, True)):
             terms = [(0, np.eye(n) - proj), (power, proj)]
             parts = [(tuple(e + k for e in op.exponents), c @ op.stack if on_left else op.stack @ c)
                      for k, c in terms]
-            assert_same_sum(op.times_elementary(proj, power, on_left), n, parts)
+            assert_same_sum(op.times_elementary(s, power, on_left), n, parts)
 
 
 # which terms of p = t^power proj + (1 - proj) survive the trim: a zero
@@ -205,20 +206,94 @@ def test_sums_add_each_part_as_the_reference_does(left, right, paths):
 ELEMENTARY_KINDS = {"zero": (0, (0,)), "full": (3, (1,)), "random": (2, (0, 1))}
 
 
+def assert_elementary_products(op, s, kept):
+    """``op`` times p_s^power on either side, for powers that leave the two
+    shifted copies overlapping, touching or (past ``op``'s length) apart,
+    is the reference sum of the kept terms' products, bit for bit."""
+    n, proj = op.dim, s.projector()
+    for power, on_left in itertools.product((1, -1, 2, -2, -3), (False, True)):
+        terms = [(0, np.eye(n) - proj), (power, proj)]
+        parts = [(tuple(e + terms[i][0] for e in op.exponents),
+                  terms[i][1] @ op.stack if on_left else op.stack @ terms[i][1]) for i in kept]
+        assert_same_sum(op.times_elementary(s, power, on_left), n, parts)
+
+
 @pytest.mark.parametrize("kind", sorted(ELEMENTARY_KINDS))
-@pytest.mark.parametrize("support", [(), (5,), (0, 1, 2, 3), (0, 2, 3)],
-                         ids=["empty", "one-term", "contiguous", "gapped"])
+@pytest.mark.parametrize(
+    "support",
+    [(), (5,), (4, 5), (0, 1, 2, 3), tuple(range(10**30, 10**30 + 4)), (0, 2, 3)],
+    ids=["empty", "one-term", "two-term", "contiguous", "shifted-1e30", "gapped"],
+)
 def test_elementary_products_add_as_the_reference_does(support, kind):
     rng = np.random.default_rng([len(support), 65])
     n = 3
     rank, kept = ELEMENTARY_KINDS[kind]
-    proj = pu.orthonormal_basis(rand_matrix(rng, n, rank)).projector()
+    s = pu.orthonormal_basis(rand_matrix(rng, n, rank))
     op = LaurentOp(n, {e: rand_matrix(rng, n, n) for e in support})
-    for power, on_left in itertools.product((1, -1), (False, True)):
-        terms = [(0, np.eye(n) - proj), (power, proj)]
-        parts = [(tuple(e + terms[i][0] for e in op.exponents),
-                  terms[i][1] @ op.stack if on_left else op.stack @ terms[i][1]) for i in kept]
-        assert_same_sum(op.times_elementary(proj, power, on_left), n, parts)
+    assert_elementary_products(op, s, kept)
+
+
+def negative_zero_count(array):
+    return sum(int(np.count_nonzero((part == 0.0) & np.signbit(part)))
+               for part in (array.real, array.imag))
+
+
+def test_elementary_products_of_negative_zeros_add_into_zeros():
+    # a diagonal projector keeps the operand's -0.0 entries in both products,
+    # and the reference adds them into +0.0, which turns each into +0.0
+    rng = np.random.default_rng(77)
+    n = 3
+    s = pu.Subspace(np.eye(n)[:, [0, 2]])
+    stack = rand_matrix(rng, 4 * n, n).reshape(4, n, n)
+    stack[:, :, 0] = -0.0
+    stack[1, 0] = -0.0
+    op = LaurentOp(n, dict(zip(range(4), stack)))
+    pair = s.elementary_pair()[0]
+    assert negative_zero_count(pair[:, None] @ op.stack) > 0
+    assert negative_zero_count(op.stack @ pair[:, None]) > 0
+    assert_elementary_products(op, s, (0, 1))
+
+
+def test_a_kept_pair_trims_against_the_active_threshold():
+    # 1 - pi of a frame a few 1e-9 off orthonormal has norm about 1e-8 times
+    # pi's: kept at the default trim, dropped at 1e-6.  The subspace keeps
+    # one pair across both scopes and must trim it as a fresh pair would
+    rng = np.random.default_rng(78)
+    n = 3
+    frame = np.linalg.qr(rand_matrix(rng, n, n))[0] * (1.0 + 4e-9)
+    kept = pu.Subspace(frame)
+    op = LaurentOp(n, {e: rand_matrix(rng, n, n) for e in range(4)})
+    for trim, terms in ((1e-10, 2), (1e-6, 1), (1e-10, 2)):
+        with tolerance_scope(trim=trim):
+            fresh = pu.Subspace(frame)
+            proj = fresh.projector()
+            assert len(ppu._elementary(kept).exponents) == terms
+            assert_same_op(ppu._elementary(kept), LaurentOp(n, {1: proj, 0: np.eye(n) - proj}))
+            for power, on_left in itertools.product((1, -1), (False, True)):
+                assert_same_op(op.times_elementary(kept, power, on_left),
+                               op.times_elementary(fresh, power, on_left))
+
+
+@pytest.mark.parametrize("n, scale, draw", cases())
+def test_a_distance_on_one_support_is_the_summed_one(n, scale, draw):
+    rng = np.random.default_rng([n, draw, 79])
+    a = built(LaurentOp, n, random_coeffs(rng, n, scale))
+    if isinstance(a, str):
+        assert a == "coefficient norm overflows"
+        return
+    # each coefficient moved by 1e-16 to 1 of itself, so some differences
+    # fall below the trim; and -0.0 against +0.0
+    moves = 10.0 ** rng.uniform(-16, 0, size=len(a.exponents))[:, None, None]
+    moved = LaurentOp(n, dict(zip(a.exponents, a.stack * (1.0 + moves))))
+    signed = []
+    for zero in (0.0, -0.0):
+        stack = a.stack.copy()
+        stack.real[:, 0, 0] = zero
+        signed.append(LaurentOp(n, dict(zip(a.exponents, stack))))
+    for x, y in [(a, a), (a, -a), (a, moved), (moved, a), signed, signed[::-1]]:
+        assert x.exponents == y.exponents
+        want = (x - y).norm() / max(1.0, x.norm(), y.norm())
+        assert float(x.distance(y)).hex() == float(want).hex()
 
 
 def assert_same_op(op, ref):
@@ -325,10 +400,16 @@ def test_leq_decides_as_the_cauchy_product_does(spec, monkeypatch):
     assert True in want and False in want
     products = []
     multiply = LaurentOp.__mul__
-    monkeypatch.setattr(LaurentOp, "__mul__", lambda a, b: products.append(a) or multiply(a, b))
+    monkeypatch.setattr(LaurentOp, "__mul__",
+                        lambda a, b: products.append((a.exponents, b.exponents)) or multiply(a, b))
     assert [ppu.leq(x, y) for x, y in pairs] == want
-    # every support here is contiguous and longer than one term
-    assert products == []
+    # every support here is contiguous, so a pair takes the Cauchy product
+    # only when its longer operand is short (a factor with a zero or full
+    # projector leaves a degree-4 element fewer than five terms)
+    short = [(x.op.star().exponents, y.op.exponents) for x, y in pairs
+             if max(len(x.op.exponents), len(y.op.exponents)) < laurent._CIRCLE_MIN_TERMS]
+    assert products == short
+    assert len(short) < len(pairs) / 4
 
 
 @pytest.mark.parametrize("spec", ORDER_SPECS)
@@ -351,11 +432,16 @@ def declined_pairs():
         "one-term-left": (LaurentOp(n, {7: rand_matrix(rng, n, n)}), contiguous),
         "one-term-right": (contiguous, LaurentOp.t_power(n, -(10**30))),
         "zero": (LaurentOp(n, {}), contiguous),
+        # fewer than _CIRCLE_MIN_TERMS terms in the longer operand
+        "2x2": (random_stack_op(rng, n, (3, 4)), random_stack_op(rng, n, (0, 1))),
+        "2x3": (random_stack_op(rng, n, (0, 1)), random_stack_op(rng, n, range(2, 5))),
+        "3x4": (random_stack_op(rng, n, range(-1, 2)), random_stack_op(rng, n, range(4))),
     }
 
 
 @pytest.mark.parametrize(
-    "case", ["gapped", "huge-gap", "long", "one-term-left", "one-term-right", "zero"]
+    "case",
+    ["gapped", "huge-gap", "long", "one-term-left", "one-term-right", "zero", "2x2", "2x3", "3x4"],
 )
 def test_declined_pairs_take_the_cauchy_product(case):
     a, b = declined_pairs()[case]
@@ -380,10 +466,15 @@ def test_kept_constants_are_read_only():
     n = 3
     a = random_algebra(n, 68)
     assert identity(n) is identity(n)
-    proj = pu.random_projection_in(a, 69).subspace.projector()
+    s = pu.random_projection_in(a, 69).subspace
+    proj = s.projector()
     assert (identity(n) - proj).tobytes() == (np.eye(n) - proj).tobytes()
     assert a._vec_h.tobytes() == a._vec.conj().T.tobytes()
-    for array in (identity(n), laurent._contiguous_dft(3), a._vec_h):
+    pair, norms = s.elementary_pair()
+    t_zero = laurent._t_zero(n)
+    assert laurent._t_zero(n) is t_zero
+    for array in (identity(n), laurent._contiguous_dft(3), a._vec_h, pair, norms,
+                  t_zero.stack, t_zero.norms):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
 

@@ -374,11 +374,11 @@ def test_elementary_factor_is_trimmed_before_it_multiplies(on_left):
     # p = t pi + (1 - pi) drops it as a dict-built p would, so it adds
     # nothing to the coefficients that pi moves onto
     rng = np.random.default_rng(5)
-    frame = np.linalg.qr(rand_matrix(rng, 3, 3))[0]
-    proj = frame @ frame.conj().T
+    s = pu.Subspace(np.linalg.qr(rand_matrix(rng, 3, 3))[0])
+    proj = s.projector()
     assert 0.0 < np.abs(np.eye(3) - proj).max() < 1e-14
     op = LaurentOp(3, {e: rand_matrix(rng, 3, 3) for e in range(4)})
-    out = op.times_elementary(proj, 1, on_left=on_left)
+    out = op.times_elementary(s, 1, on_left=on_left)
     assert out.exponents == (1, 2, 3, 4)
     assert np.array_equal(out.stack, proj @ op.stack if on_left else op.stack @ proj)
 

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -251,14 +252,14 @@ class TestSubspaceStorage:
         assert s.frame is not f
         f[0, 0] = 5.0
         assert s.frame.tobytes() == kept.tobytes()
-        for array in (s.frame, s.projector()):
+        for array in (s.frame, s.projector(), *s.elementary_pair()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
 
     def test_a_subspace_refuses_reassignment(self):
         s, other = random_subspace(3, 71), random_subspace(3, 72)
-        s.projector()
-        for attr in ("frame", "_projector"):
+        s.elementary_pair()
+        for attr in ("frame", "_projector", "_pair"):
             with pytest.raises(AttributeError):
                 setattr(s, attr, getattr(other, attr))
             with pytest.raises(AttributeError):
@@ -270,6 +271,29 @@ class TestSubspaceStorage:
         s = random_subspace(5, 73)
         assert s.projector() is s.projector()
         assert s.projector().tobytes() == (s.frame @ s.frame.conj().T).tobytes()
+
+    def test_the_elementary_pair_is_computed_once(self):
+        s = random_subspace(5, 74)
+        pair, norms = s.elementary_pair()
+        assert s.elementary_pair()[0] is pair and s.elementary_pair()[1] is norms
+        want = np.stack([np.eye(5) - s.projector(), s.projector()])
+        assert pair.tobytes() == want.tobytes()
+        assert norms.tobytes() == np.linalg.norm(want, axis=(1, 2)).tobytes()
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 4])
+    @pytest.mark.parametrize("off", [0.0, 4e-9, 4.99e-9, 5e-9, 5.01e-9, 1e-8])
+    def test_orthonormality_is_decided_by_mat_residual(self, r, off):
+        # the residual is mat_residual(gram, I) with ||I_r||_F taken as sqrt(r)
+        assert frob(np.eye(r, dtype=complex)) == math.sqrt(r)
+        rng = np.random.default_rng([r, 75])
+        frame = np.linalg.qr(rand_matrix(rng, 5, 5))[0][:, :r] * (1.0 + off)
+        accepted = mat_residual(frame.conj().T @ frame, np.eye(r)) <= pu.tolerances().eq
+        try:
+            pu.Subspace(frame)
+        except InputError as exc:
+            assert not accepted and "not orthonormal" in str(exc)
+        else:
+            assert accepted
 
     def test_a_nan_orthonormality_residual_is_an_input_error(self, monkeypatch):
         monkeypatch.setattr(numfield, "frob", lambda m: float("nan"))

@@ -531,6 +531,26 @@ def test_meet_and_join_keep_the_degree_law_at_high_degree(high_degree_pairs, spe
         assert sum(m.subspace.dim for m in factors) == dy
 
 
+def test_the_degree_three_block_sample_fails_loudly_or_answers_right():
+    # a normality sample whose uncertified peel ends early: its meet and
+    # join may raise, but must never return a bound on the wrong side
+    a = load_module("bench/inputs.py").build_algebra("block:2+3", 809)
+    seed = 4059951897222041571
+    try:
+        report = axioms.check_normality(a, 1, seed)
+    except NumericalError:
+        pass
+    else:
+        assert report.passed
+    g, h = (axioms._random_element(a, seed, 0, j) for j in (0, 1))
+    for op, below in ((pu.meet, True), (pu.join, False)):
+        try:
+            z = op(g, h)
+        except NumericalError:
+            continue
+        assert all(pu.leq(z, x) if below else pu.leq(x, z) for x in (g, h))
+
+
 class TestComplement:
     def test_ends_of_the_interval(self):
         a = diag_algebra(2)
