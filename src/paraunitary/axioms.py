@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ppu
 from .laurent import LaurentOp, PpuElement, ppu_t_power
-from .numfield import InputError, Tolerances, subspace_residual, tolerances
+from .numfield import InputError, Tolerances, as_integer, subspace_residual, tolerances
 from .reporting import CheckReport, derive_seed
 from .star_algebra import (
     StarAlgebra,
@@ -166,11 +166,12 @@ MAX_POINTS = 64
 def diagonal_algebra(n_points: int) -> StarAlgebra:
     """The diagonal algebra on C^n_points, one instance per point count and
     active tolerances (an algebra is immutable, so it can be shared)."""
+    n_points = as_integer(n_points, "point count")
     if n_points < 1:
         raise InputError("need at least one point")
     if n_points > MAX_POINTS:
         raise InputError(f"at most {MAX_POINTS} points")
-    return _diagonal_algebra(int(n_points), tolerances())
+    return _diagonal_algebra(n_points, tolerances())
 
 
 @functools.lru_cache(maxsize=4)

@@ -3,7 +3,9 @@
 Payloads are plain dicts/lists of Python scalars, and the subspaces and
 Laurent operators that check reports hold.  ``canonical_dumps`` emits
 byte-stable output: object keys sorted, floats at a fixed 17 significant
-digits, no whitespace.  This is the only module that knows a wire format.
+digits, no whitespace.  Payloads round-trip in value, not in the sign of
+zero: ``-0.0`` is written ``-0``, which reads back as ``0``.  This is the
+only module that knows a wire format.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import functools
 import math
 import sys
 import types
+from collections.abc import Mapping
 from typing import NoReturn
 
 import numpy as np
@@ -24,6 +25,7 @@ from .numfield import (
     NumericalError,
     Subspace,
     _immutable,
+    as_integer,
     as_matrix,
     frob,
     identity,
@@ -67,19 +69,19 @@ def _trim(exponents: tuple, stack: np.ndarray, norms=None):
     return kept, stack[keep], norms[keep]
 
 
-def _reject(dim: int, coeffs) -> NoReturn:
+def _reject(dim: int, exponents: list, values) -> NoReturn:
     """Raise the error of the first malformed coefficient, in the order given.
 
-    Only a dict that failed the stacked checks comes here, so the loop
-    runs only to name the coefficient at fault.
+    Only coefficients that failed the stacked checks come here, so the
+    loop runs only to name the coefficient at fault.
     """
     seen = set()
-    for e, c in coeffs.items():
+    for e, c in zip(exponents, values):
         if as_matrix(c).shape != (dim, dim):
             raise InputError("coefficient of wrong shape")
-        if int(e) in seen:
+        if e in seen:
             raise InputError("duplicate exponent")
-        seen.add(int(e))
+        seen.add(e)
     raise InputError("malformed coefficients")
 
 
@@ -102,12 +104,14 @@ class LaurentOp:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, coeffs):
-        dim = int(dim)
+        dim = as_integer(dim, "dimension")
+        if not isinstance(coeffs, Mapping):
+            raise InputError("coefficients must map exponents to matrices")
+        exponents = [as_integer(e, "exponent") for e in coeffs]
         try:
-            exponents = [int(e) for e in coeffs]
             stack = np.array(list(coeffs.values()), dtype=np.complex128)
         except (TypeError, ValueError):
-            _reject(dim, coeffs)
+            _reject(dim, exponents, coeffs.values())
         if not exponents:
             stack = stack.reshape(0, dim, dim)
         if (
@@ -115,7 +119,7 @@ class LaurentOp:
             or len(set(exponents)) < len(exponents)
             or not np.isfinite(stack).all()
         ):
-            _reject(dim, coeffs)
+            _reject(dim, exponents, coeffs.values())
         order = sorted(range(len(exponents)), key=exponents.__getitem__)
         self._set(dim, *_trim(tuple([exponents[i] for i in order]), stack[order]))
 
@@ -140,7 +144,7 @@ class LaurentOp:
     @classmethod
     def t_power(cls, dim: int, k: int) -> "LaurentOp":
         """t^k: the t^0 kept per size, shifted."""
-        return _t_zero(int(dim)).shifted(k)
+        return _t_zero(as_integer(dim, "dimension")).shifted(k)
 
     @property
     def coeffs(self) -> types.MappingProxyType:
@@ -156,7 +160,7 @@ class LaurentOp:
         return self.exponents[-1] if self.exponents else 0
 
     def coeff(self, e: int) -> np.ndarray:
-        e = int(e)
+        e = as_integer(e, "exponent")
         i = bisect.bisect_left(self.exponents, e)
         if i < len(self.exponents) and self.exponents[i] == e:
             return self.stack[i].copy()
@@ -183,22 +187,22 @@ class LaurentOp:
         self._binary_check(other)
         return LaurentOp._make(self.dim, *_convolve(self, other))
 
-    def times_elementary(self, s: Subspace, power: int, on_left: bool = False) -> "LaurentOp":
-        """self p^power, or with ``on_left`` p^power self, p = t pi + (1 - pi), pi = pi_s.
+    def times_elementary(
+        self, s: Subspace, inverse: bool = False, on_left: bool = False
+    ) -> "LaurentOp":
+        """self p, or with ``on_left`` p self, p = p_s or with ``inverse`` p_s^-1.
 
-        p^power = t^power pi + (1 - pi) for every integer power.  Its two
-        coefficients, the subspace's kept pair, are trimmed against the
-        active ``trim`` as a dict-built p's are, so a projector within
+        p_s = t pi + (1 - pi) and p_s^-1 = t^-1 pi + (1 - pi), pi = pi_s.
+        The two coefficients, the subspace's kept pair, are trimmed against
+        the active ``trim`` as a dict-built p's are, so a projector within
         rounding of 1 leaves no 1 - pi term.  Where both survive on a
-        contiguous support of at least ``|power|`` terms, one stacked
-        product forms both products and two slice adds sum them into zeros
-        in ``_summed``'s order, bitwise its sum; otherwise ``_summed`` adds
-        the kept terms' products.
+        contiguous support, one stacked product forms both products and two
+        slice adds sum them into zeros in ``_summed``'s order, bitwise its
+        sum; otherwise ``_summed`` adds the kept terms' products.
         """
-        power = int(power)
-        shifts, terms, _ = _trim((0, power), *s.elementary_pair())
+        shifts, terms, _ = _trim((0, -1 if inverse else 1), *s.elementary_pair())
         t = len(self.exponents)
-        if len(shifts) < 2 or self.hi - self.lo != t - 1 or abs(power) > t:
+        if len(shifts) < 2 or self.hi - self.lo != t - 1:
             return _summed(
                 self.dim,
                 *[
@@ -207,15 +211,16 @@ class LaurentOp:
                 ],
             )
         products = terms[:, None] @ self.stack if on_left else self.stack @ terms[:, None]
-        # the copies start at rows ``first`` (1 - pi) and ``first + power`` (pi)
-        first = -min(0, power)
-        out = np.zeros((t + abs(power), self.dim, self.dim), dtype=np.complex128)
-        out[first:first + t] += products[0]
-        out[first + power:first + power + t] += products[1]
-        exponents = tuple(range(self.lo - first, self.lo - first + t + abs(power)))
+        # pi's copy starts one row after 1 - pi's, or with ``inverse`` one before
+        pi_row = 0 if inverse else 1
+        out = np.zeros((t + 1, self.dim, self.dim), dtype=np.complex128)
+        out[1 - pi_row:1 - pi_row + t] += products[0]
+        out[pi_row:pi_row + t] += products[1]
+        exponents = tuple(range(self.lo + pi_row - 1, self.lo + pi_row + t))
         return LaurentOp._make(self.dim, exponents, out)
 
     def shifted(self, k: int) -> "LaurentOp":
+        k = as_integer(k, "shift")
         return LaurentOp._make(self.dim, _shift(self.exponents, k), self.stack, self.norms)
 
     def star(self) -> "LaurentOp":
@@ -267,7 +272,6 @@ def _shift(exponents: tuple, k: int) -> tuple:
     of unknown length is resized as it grows, and on the peel's path that
     made the peak resident memory creep up with every call.
     """
-    k = int(k)
     return tuple([e + k for e in exponents])
 
 
@@ -299,18 +303,11 @@ def _powers(z: complex, exponents) -> np.ndarray:
 
 def _scattered(dim: int, parts) -> tuple[tuple, np.ndarray]:
     """Untrimmed sum of ``(exponents, stack)`` parts, each with sorted distinct
-    exponents, added in the order the parts come: with one slice where a
-    part fills consecutive rows, else with one index list (bitwise the same)."""
+    exponents, added by one index list per part in the order the parts come."""
     exponents = tuple(sorted({e for exps, _ in parts for e in exps}))
+    row = {e: i for i, e in enumerate(exponents)}
     out = np.zeros((len(exponents), dim, dim), dtype=np.complex128)
-    row = None
     for exps, stack in parts:
-        r = bisect.bisect_left(exponents, exps[0]) if exps else 0
-        if exponents[r:r + len(exps)] == exps:
-            out[r:r + len(exps)] += stack
-            continue
-        if row is None:
-            row = {e: i for i, e in enumerate(exponents)}
         out[[row[e] for e in exps]] += stack
     return exponents, out
 
@@ -365,11 +362,6 @@ _KEPT_DFT_TERMS = 64
 # a support that is not kept is evaluated at this many points at a time,
 # so its DFT rows never outgrow the largest kept matrix's
 _DFT_BLOCK = 2 * _KEPT_DFT_TERMS - 1
-# below this many terms in the longer operand, the order's a* b costs less
-# as the Cauchy product than on the unit circle, whose fixed cost is about
-# eight NumPy calls (interleaved timing, one BLAS thread: 4 x 4 terms read
-# 1.01-1.03x the Cauchy product's time, 5 x 5 0.88x, 6 x 7 0.81-0.89x)
-_CIRCLE_MIN_TERMS = 5
 
 
 @functools.cache
@@ -379,6 +371,13 @@ def _contiguous_dft(t: int) -> np.ndarray:
     dft = _dft(2 * t - 1, np.arange(t), np.arange(2 * t - 1))
     dft.flags.writeable = False
     return dft
+
+
+def _values(dft: np.ndarray, op: LaurentOp) -> np.ndarray:
+    """op's values at the rows' points: the first ``t`` columns of ``dft``
+    times the ``t`` stacked coefficients, as a stack of matrices."""
+    t = len(op.exponents)
+    return (dft[:, :t] @ op.stack.reshape(t, -1)).reshape(-1, op.dim, op.dim)
 
 
 def _circle_residual(op: LaurentOp, points: int) -> float:
@@ -400,7 +399,7 @@ def _circle_residual(op: LaurentOp, points: int) -> float:
                   for j in range(0, points, _DFT_BLOCK))
     norms = []
     for dft in blocks:
-        values = (dft @ op.stack.reshape(t, -1)).reshape(-1, op.dim, op.dim)
+        values = _values(dft, op)
         norms.append(frob(values.conj().swapaxes(1, 2) @ values - identity(op.dim)))
     return math.hypot(*norms) / math.sqrt(points)
 
@@ -408,42 +407,38 @@ def _circle_residual(op: LaurentOp, points: int) -> float:
 def _star_product(a: LaurentOp, b: LaurentOp) -> LaurentOp:
     """a* b, trimmed, for the order decision only.
 
-    When both supports are contiguous, ``t = max(t_a, t_b)`` is at least
-    ``_CIRCLE_MIN_TERMS`` and at most ``_KEPT_DFT_TERMS``, and the ``m = 2
-    t - 1`` roots of unity are fewer than the ``t_a t_b`` term pairs, the
-    coefficients are read from the values at those points, through the
-    kept ``W = _contiguous_dft(t)``, ``W[j, e] = w^(j e)``.  ``A = W a``
-    and ``B = W b`` are the values of ``t^-lo_a a`` and ``t^-lo_b b``, so
-    ``V_j = A_j^H B_j`` is that of ``t^(lo_a - lo_b) a* b``, whose ``t_a
-    + t_b - 1 <= m`` coefficients the length-m DFT determines.  The one
-    at exponent ``lo_b - hi_a + q`` is ``(1/m) sum_j w^(j (t_a - 1 - q))
-    V_j``: the inverse rows are W's columns ``t_a - 1, ..., 0`` and the
-    conjugates of its columns ``1, ..., t_b - 1``.  That is two products
-    with W, m products of ``n x n`` matrices and one inverse product,
-    against the ``t_a t_b`` products of the Cauchy product.
+    When both supports are contiguous, ``t = max(t_a, t_b)`` is at most
+    ``_KEPT_DFT_TERMS``, and the ``m = 2 t - 1`` roots of unity are fewer
+    than the ``t_a t_b`` term pairs, the coefficients are read from the
+    values at those points, through the kept ``W = _contiguous_dft(t)``,
+    ``W[j, e] = w^(j e)``.  ``A = W a`` and ``B = W b`` are the values of
+    ``t^-lo_a a`` and ``t^-lo_b b``, so ``V_j = A_j^H B_j`` is that of
+    ``t^(lo_a - lo_b) a* b``, whose ``t_a + t_b - 1 <= m`` coefficients
+    the length-m DFT determines.  The one at exponent ``lo_b - hi_a + q``
+    is ``(1/m) sum_j w^(j (t_a - 1 - q)) V_j``: the inverse rows are W's
+    columns ``t_a - 1, ..., 0`` and the conjugates of its columns ``1,
+    ..., t_b - 1``.  That is two products with W, m products of ``n x n``
+    matrices and one inverse product, against the ``t_a t_b`` products of
+    the Cauchy product.
 
     These coefficients agree with the Cauchy product ``a.star() * b`` to
     rounding but are not bitwise equal to it, so they serve only the
     order decision, which trims and certifies them as it would the exact
-    product.  Every other pair (a gapped support, fewer than
-    ``_CIRCLE_MIN_TERMS`` or more than ``_KEPT_DFT_TERMS`` terms, a
-    one-term operand) takes ``a.star() * b``.
+    product.  Every other pair (a gapped support, more than
+    ``_KEPT_DFT_TERMS`` terms, a one-term operand) takes ``a.star() * b``.
     """
     ta, tb = len(a.exponents), len(b.exponents)
     t = max(ta, tb)
     points = 2 * t - 1
     if not (a.hi - a.lo == ta - 1 and b.hi - b.lo == tb - 1
-            and _CIRCLE_MIN_TERMS <= t <= _KEPT_DFT_TERMS and points < ta * tb):
+            and t <= _KEPT_DFT_TERMS and points < ta * tb):
         return a.star() * b
     a._binary_check(b)
-    n = a.dim
     dft = _contiguous_dft(t)
-    values_a = (dft[:, :ta] @ a.stack.reshape(ta, -1)).reshape(points, n, n)
-    values_b = (dft[:, :tb] @ b.stack.reshape(tb, -1)).reshape(points, n, n)
-    values = (values_a.conj().swapaxes(1, 2) @ values_b).reshape(points, -1)
+    values = (_values(dft, a).conj().swapaxes(1, 2) @ _values(dft, b)).reshape(points, -1)
     stack = np.concatenate([dft[:, ta - 1::-1].T @ values, dft[:, 1:tb].T.conj() @ values])
-    return LaurentOp._make(n, tuple(range(b.lo - a.hi, b.hi - a.lo + 1)),
-                           (stack / points).reshape(-1, n, n))
+    return LaurentOp._make(a.dim, tuple(range(b.lo - a.hi, b.hi - a.lo + 1)),
+                           (stack / points).reshape(-1, a.dim, a.dim))
 
 
 def paraunitarity_residual(op: LaurentOp) -> float:
@@ -572,17 +567,22 @@ class PpuElement:
         return PpuElement(self.op.star(), self.algebra)
 
     def close_to(self, other: "PpuElement") -> bool:
+        common_algebra(self, other)
         return self.op.close_to(other.op)
 
     def __repr__(self):
         return f"PpuElement(dim={self.op.dim}, support={list(self.op.exponents)})"
 
 
-def common_algebra(a: PpuElement, b: PpuElement) -> StarAlgebra:
-    """The algebra of two group elements, or ``InputError`` for any other operand."""
-    if not (isinstance(a, PpuElement) and isinstance(b, PpuElement)):
-        raise InputError("expected a PpuElement operand")
-    return a.algebra.require_same(b.algebra)
+def common_algebra(first: PpuElement, *rest: PpuElement) -> StarAlgebra:
+    """The algebra of one or more group elements, or ``InputError`` for any
+    other operand or for elements of different algebras."""
+    algebra = None
+    for x in (first, *rest):
+        if not isinstance(x, PpuElement):
+            raise InputError("expected a PpuElement operand")
+        algebra = x.algebra if algebra is None else algebra.require_same(x.algebra)
+    return algebra
 
 
 def ppu_t_power(algebra: StarAlgebra, k: int = 1) -> PpuElement:

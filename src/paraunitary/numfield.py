@@ -13,6 +13,7 @@ import contextvars
 import dataclasses
 import functools
 import math
+import operator
 from typing import NoReturn
 
 import numpy as np
@@ -80,6 +81,15 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise InputError("matrix has non-finite entries")
     return a
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as a Python int if it is an integer of any kind or size; anything
+    else, a float or a string too, is an ``InputError`` naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {type(value).__name__}") from None
 
 
 @functools.lru_cache(maxsize=64)

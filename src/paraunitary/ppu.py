@@ -41,6 +41,7 @@ from .numfield import (
     InputError,
     NumericalError,
     Subspace,
+    as_integer,
     kernel,
     tolerances,
     zero_subspace,
@@ -69,10 +70,11 @@ def p_of(member: InvariantSubspace) -> PpuElement:
 
 def gamma_inverse(el: PpuElement) -> InvariantSubspace:
     """Recover M from an elementary factor (any divisor of t is one)."""
+    algebra = common_algebra(el)
     if not (in_positive_cone(el) and el.hi <= 1):
         raise InputError("element is not between the identity and t")
     factors = factor_positive(el).factors
-    return factors[0] if factors else certify_member(el.algebra, zero_subspace(el.op.dim))
+    return factors[0] if factors else certify_member(algebra, zero_subspace(el.op.dim))
 
 
 def _peel(
@@ -115,7 +117,7 @@ def _peel(
             member = certify_member(algebra, s)
         except InputError as exc:
             raise NumericalError(f"divisor {len(peeled) + 1} failed certification") from exc
-        ops = [op.times_elementary(s, -1, on_left=not right) for op in ops]
+        ops = [op.times_elementary(s, inverse=True, on_left=not right) for op in ops]
         if min(op.lo for op in ops) < 0:
             raise NumericalError(f"negative exponent after divisor {len(peeled) + 1}")
         peeled.append(member)
@@ -194,7 +196,7 @@ class FactorList:
     def assemble(self, algebra: StarAlgebra) -> PpuElement:
         op = LaurentOp.t_power(algebra.dim, -self.shift)
         for member in self.factors:
-            op = op.times_elementary(member.subspace, 1)
+            op = op.times_elementary(member.subspace)
         return PpuElement(op, algebra)
 
 
@@ -208,11 +210,12 @@ def factor_positive(el: PpuElement) -> FactorList:
     the union of the atoms whose exponent is at least j; a top exponent
     that a peel might refuse is refused there too.
     """
+    algebra = common_algebra(el)
     if not in_positive_cone(el):
         raise InputError("element is not in the positive cone")
-    atoms = el.algebra.atoms
+    atoms = algebra.atoms
     if atoms is None:
-        members, (rest,) = _peel([el], el.algebra)
+        members, (rest,) = _peel([el], algebra)
         if len(members) != el.hi:
             raise NumericalError(f"{len(members)} factors for top exponent {el.hi}")
         if not rest.close_to(LaurentOp.t_power(el.op.dim, 0)):
@@ -226,9 +229,9 @@ def factor_positive(el: PpuElement) -> FactorList:
         # the heads at the levels below = wi are the same union of atoms
         for below, level in zip([0, *levels], levels):
             frame = np.concatenate([f for f, wi in zip(atoms.frames, w) if wi >= level], axis=1)
-            members += [certify_member(el.algebra, Subspace(frame))] * (level - below)
+            members += [certify_member(algebra, Subspace(frame))] * (level - below)
     members = tuple(members)
-    assembled = FactorList(0, members).assemble(el.algebra)
+    assembled = FactorList(0, members).assemble(algebra)
     if not assembled.op.close_to(el.op):
         raise NumericalError("reassembled factorization does not match the input")
     return FactorList(0, members, assembled)
@@ -262,7 +265,7 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
     members, _ = _peel([a.op.star().shifted(k), b.op.star().shifted(k)], algebra, right=True)
     op = LaurentOp.t_power(algebra.dim, k)
     for member in members:
-        op = op.times_elementary(member.subspace, -1)
+        op = op.times_elementary(member.subspace, inverse=True)
     return PpuElement(op, algebra)
 
 
@@ -271,14 +274,17 @@ def complement_in_t(el: PpuElement) -> PpuElement:
 
     el^-1 t is the involution shifted by one, positive iff el.hi <= 1.
     """
+    algebra = common_algebra(el)
     if not (in_positive_cone(el) and el.hi <= 1):
         raise InputError("element is outside the interval [1, t]")
-    return PpuElement(el.op.star().shifted(1), el.algebra)
+    return PpuElement(el.op.star().shifted(1), algebra)
 
 
 def random_ppu(algebra: StarAlgebra, k: int, shift: int, seed: int) -> PpuElement:
     """Seeded product of k random elementary factors, shifted by t^-shift."""
+    k, shift = as_integer(k, "factor count"), as_integer(shift, "shift")
+    seed = as_integer(seed, "seed")
     if k < 0:
         raise InputError("factor count must be non-negative")
     members = tuple([random_projection_in(algebra, derive_seed(seed, i)) for i in range(k)])
-    return FactorList(int(shift), members).assemble(algebra)
+    return FactorList(shift, members).assemble(algebra)

@@ -12,12 +12,12 @@ import math
 
 import numpy as np
 
-from .numfield import InputError, tolerances
+from .numfield import InputError, as_integer, tolerances
 
 
 def derive_seed(*path: int) -> int:
     """Deterministic child seed from a root seed and an index path."""
-    entries = [int(p) for p in path]
+    entries = [as_integer(p, "seed") for p in path]
     if any(p < 0 for p in entries):
         raise InputError("seeds and seed-path entries must be non-negative")
     return int(np.random.SeedSequence(entries).generate_state(1, dtype=np.uint64)[0])

@@ -20,6 +20,7 @@ from .numfield import (
     Subspace,
     _immutable,
     _rank_from_singular_values,
+    as_integer,
     as_matrix,
     frob,
     identity,
@@ -80,7 +81,7 @@ class StarAlgebra:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, generators, basis):
-        dim = int(dim)
+        dim = as_integer(dim, "dimension")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", _stack(dim, generators))
         object.__setattr__(self, "basis", _stack(dim, basis))
@@ -213,6 +214,7 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
     direction and V would be a left module over the closure rather than
     the closure.  Such a round raises ``NumericalError``.
     """
+    n = as_integer(n, "dimension")
     gens = [as_matrix(g) for g in gens]
     for g in gens:
         if g.shape != (n, n):
@@ -394,8 +396,9 @@ def random_projection_in(a: StarAlgebra, seed: int) -> InvariantSubspace:
     eigenspaces.  The result always certifies; degenerate draws are
     retried up to 16 times.
     """
+    seed = as_integer(seed, "seed")
     for attempt in range(16):
-        rng = np.random.default_rng([int(seed), attempt])
+        rng = np.random.default_rng([seed, attempt])
         vecs, clusters = _eigen_clusters(a.hermitian_sample(rng))
         chosen = rng.integers(0, 2, size=len(clusters)).astype(bool)
         cols = [vecs[:, idx] for c, keep in zip(clusters, chosen) if keep for idx in c]

@@ -151,12 +151,6 @@ def test_construction_and_products_match_the_reference(n, scale, draw, shape, co
     assert_same(op_a.star(), ref_a.star())
 
 
-def consecutive(exponents, exps):
-    """Do ``exps`` fill consecutive rows of ``exponents``, so ``_scattered`` adds them as a slice?"""
-    rows = [exponents.index(e) for e in exps]
-    return rows == list(range(rows[0], rows[0] + len(rows)))
-
-
 def assert_same_sum(op, dim, parts):
     """``op`` is the trimmed reference sum of the parts, bit for bit."""
     ref = LaurentOp._make(dim, *reference_scattered(dim, parts))
@@ -164,25 +158,25 @@ def assert_same_sum(op, dim, parts):
     assert op.stack.tobytes() == ref.stack.tobytes()
 
 
-# supports of two operands, and whether each fills consecutive rows of their union
+# supports of two operands: each filling consecutive rows of their union,
+# neither, or one of them
 SUM_SUPPORTS = [
-    ((0, 1, 2), (1, 2, 3), (True, True)),
-    ((0, 2, 5), (1, 3, 4), (False, False)),
-    ((0, 2), (1,), (False, True)),
-    ((-3, -2), (0, 1, 2), (True, True)),
-    ((-3, 4), (0, 1, 2), (False, True)),
+    ((0, 1, 2), (1, 2, 3)),
+    ((0, 2, 5), (1, 3, 4)),
+    ((0, 2), (1,)),
+    ((-3, -2), (0, 1, 2)),
+    ((-3, 4), (0, 1, 2)),
 ]
 
 
-@pytest.mark.parametrize("left, right, paths", SUM_SUPPORTS)
-def test_sums_add_each_part_as_the_reference_does(left, right, paths):
+@pytest.mark.parametrize("left, right", SUM_SUPPORTS)
+def test_sums_add_each_part_as_the_reference_does(left, right):
     rng = np.random.default_rng([len(left), len(right), 64])
     n = 3
     ops = [LaurentOp(n, {e: 10.0 ** rng.uniform(-6, 0) * rand_matrix(rng, n, n) for e in exps})
            for exps in (left, right)]
     parts = [(op.exponents, op.stack) for op in ops]
     union = tuple(sorted(set(left) | set(right)))
-    assert tuple(consecutive(union, exps) for exps, _ in parts) == paths
     assert_same_sum(ops[0] + ops[1], n, parts)
     # three parts, so the order of the additions shows in the bits
     parts.append((union, rand_matrix(rng, len(union) * n, n).reshape(-1, n, n)))
@@ -190,32 +184,31 @@ def test_sums_add_each_part_as_the_reference_does(left, right, paths):
     ref_exponents, ref_stack = reference_scattered(n, parts)
     assert exponents == ref_exponents
     assert stack.tobytes() == ref_stack.tobytes()
-    # a product with p = t^power proj + (1 - proj) adds two shifted copies
+    # a product with p^(+-1) = t^(+-1) proj + (1 - proj) adds two shifted copies
     s = pu.orthonormal_basis(rand_matrix(rng, n, 2))
     proj = s.projector()
     for op in ops:
-        for power, on_left in itertools.product((1, -1), (False, True)):
-            terms = [(0, np.eye(n) - proj), (power, proj)]
+        for inverse, on_left in itertools.product((False, True), (False, True)):
+            terms = [(0, np.eye(n) - proj), (-1 if inverse else 1, proj)]
             parts = [(tuple(e + k for e in op.exponents), c @ op.stack if on_left else op.stack @ c)
                      for k, c in terms]
-            assert_same_sum(op.times_elementary(s, power, on_left), n, parts)
+            assert_same_sum(op.times_elementary(s, inverse, on_left), n, parts)
 
 
-# which terms of p = t^power proj + (1 - proj) survive the trim: a zero
+# which terms of p^(+-1) = t^(+-1) proj + (1 - proj) survive the trim: a zero
 # projector leaves only 1 - proj, a full one (within rounding of 1) only proj
 ELEMENTARY_KINDS = {"zero": (0, (0,)), "full": (3, (1,)), "random": (2, (0, 1))}
 
 
 def assert_elementary_products(op, s, kept):
-    """``op`` times p_s^power on either side, for powers that leave the two
-    shifted copies overlapping, touching or (past ``op``'s length) apart,
-    is the reference sum of the kept terms' products, bit for bit."""
+    """``op`` times p_s or p_s^-1 on either side is the reference sum of the
+    kept terms' products, bit for bit."""
     n, proj = op.dim, s.projector()
-    for power, on_left in itertools.product((1, -1, 2, -2, -3), (False, True)):
-        terms = [(0, np.eye(n) - proj), (power, proj)]
+    for inverse, on_left in itertools.product((False, True), (False, True)):
+        terms = [(0, np.eye(n) - proj), (-1 if inverse else 1, proj)]
         parts = [(tuple(e + terms[i][0] for e in op.exponents),
                   terms[i][1] @ op.stack if on_left else op.stack @ terms[i][1]) for i in kept]
-        assert_same_sum(op.times_elementary(s, power, on_left), n, parts)
+        assert_same_sum(op.times_elementary(s, inverse, on_left), n, parts)
 
 
 @pytest.mark.parametrize("kind", sorted(ELEMENTARY_KINDS))
@@ -269,9 +262,9 @@ def test_a_kept_pair_trims_against_the_active_threshold():
             proj = fresh.projector()
             assert len(ppu._elementary(kept).exponents) == terms
             assert_same_op(ppu._elementary(kept), LaurentOp(n, {1: proj, 0: np.eye(n) - proj}))
-            for power, on_left in itertools.product((1, -1), (False, True)):
-                assert_same_op(op.times_elementary(kept, power, on_left),
-                               op.times_elementary(fresh, power, on_left))
+            for inverse, on_left in itertools.product((False, True), (False, True)):
+                assert_same_op(op.times_elementary(kept, inverse, on_left),
+                               op.times_elementary(fresh, inverse, on_left))
 
 
 @pytest.mark.parametrize("n, scale, draw", cases())
@@ -403,13 +396,8 @@ def test_leq_decides_as_the_cauchy_product_does(spec, monkeypatch):
     monkeypatch.setattr(LaurentOp, "__mul__",
                         lambda a, b: products.append((a.exponents, b.exponents)) or multiply(a, b))
     assert [ppu.leq(x, y) for x, y in pairs] == want
-    # every support here is contiguous, so a pair takes the Cauchy product
-    # only when its longer operand is short (a factor with a zero or full
-    # projector leaves a degree-4 element fewer than five terms)
-    short = [(x.op.star().exponents, y.op.exponents) for x, y in pairs
-             if max(len(x.op.exponents), len(y.op.exponents)) < laurent._CIRCLE_MIN_TERMS]
-    assert products == short
-    assert len(short) < len(pairs) / 4
+    # every support here is contiguous, so no pair takes the Cauchy product
+    assert products == []
 
 
 @pytest.mark.parametrize("spec", ORDER_SPECS)
@@ -432,16 +420,11 @@ def declined_pairs():
         "one-term-left": (LaurentOp(n, {7: rand_matrix(rng, n, n)}), contiguous),
         "one-term-right": (contiguous, LaurentOp.t_power(n, -(10**30))),
         "zero": (LaurentOp(n, {}), contiguous),
-        # fewer than _CIRCLE_MIN_TERMS terms in the longer operand
-        "2x2": (random_stack_op(rng, n, (3, 4)), random_stack_op(rng, n, (0, 1))),
-        "2x3": (random_stack_op(rng, n, (0, 1)), random_stack_op(rng, n, range(2, 5))),
-        "3x4": (random_stack_op(rng, n, range(-1, 2)), random_stack_op(rng, n, range(4))),
     }
 
 
 @pytest.mark.parametrize(
-    "case",
-    ["gapped", "huge-gap", "long", "one-term-left", "one-term-right", "zero", "2x2", "2x3", "3x4"],
+    "case", ["gapped", "huge-gap", "long", "one-term-left", "one-term-right", "zero"]
 )
 def test_declined_pairs_take_the_cauchy_product(case):
     a, b = declined_pairs()[case]
@@ -615,20 +598,30 @@ def test_an_algebra_as_large_as_its_space_takes_the_peel(peels):
 NAN = np.full((2, 2), np.nan)
 
 
+class Index:
+    """An integer key unequal to every other, so two of them can name one exponent."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 @pytest.mark.parametrize(
     "coeffs, message",
     [
         ({0: np.eye(2), 1: np.eye(3)}, "coefficient of wrong shape"),
         ({0: np.ones(2)}, "expected a 2-d matrix"),
-        ({"0": np.eye(2), "00": np.eye(2)}, "duplicate exponent"),
+        ({Index(0): np.eye(2), Index(0): np.eye(2)}, "duplicate exponent"),
         ({0: np.eye(2), 1: NAN}, "matrix has non-finite entries"),
         ({0: [[np.inf, 0.0], [0.0, 1.0]]}, "matrix has non-finite entries"),
         ({0: 1e200 * np.eye(2)}, "coefficient norm overflows"),
         # the first coefficient at fault names the error
         ({0: NAN, 1: np.eye(3)}, "matrix has non-finite entries"),
         ({0: np.eye(3), 1: NAN}, "coefficient of wrong shape"),
-        ({"1": np.eye(2), "01": NAN}, "matrix has non-finite entries"),
-        ({"1": np.eye(2), "01": np.eye(2), 2: NAN}, "duplicate exponent"),
+        ({Index(1): np.eye(2), Index(1): NAN}, "matrix has non-finite entries"),
+        ({Index(1): np.eye(2), Index(1): np.eye(2), 2: NAN}, "duplicate exponent"),
     ],
 )
 def test_input_errors_match_the_reference(coeffs, message):

@@ -378,7 +378,7 @@ def test_elementary_factor_is_trimmed_before_it_multiplies(on_left):
     proj = s.projector()
     assert 0.0 < np.abs(np.eye(3) - proj).max() < 1e-14
     op = LaurentOp(3, {e: rand_matrix(rng, 3, 3) for e in range(4)})
-    out = op.times_elementary(s, 1, on_left=on_left)
+    out = op.times_elementary(s, on_left=on_left)
     assert out.exponents == (1, 2, 3, 4)
     assert np.array_equal(out.stack, proj @ op.stack if on_left else op.stack @ proj)
 
@@ -389,6 +389,50 @@ def test_trim_drops_dust_relative_to_peak():
     op = LaurentOp(2, {0: big, -3: dust})
     assert op.exponents == (0,)
     assert op.lo == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LaurentOp(2, {0.5: np.eye(2)}), "exponent must be an integer"),
+        (lambda: LaurentOp(2, {0.5: P1, 0: P2}), "exponent must be an integer"),
+        (lambda: LaurentOp(2, {"x": np.eye(2)}), "exponent must be an integer"),
+        (lambda: LaurentOp(2, {None: np.eye(2)}), "exponent must be an integer"),
+        (lambda: LaurentOp(2.7, {0: np.eye(2)}), "dimension must be an integer"),
+        (lambda: LaurentOp(2, [np.eye(2)]), "coefficients must map exponents to matrices"),
+        (lambda: LaurentOp.t_power(2, 0).shifted(0.5), "shift must be an integer"),
+        (lambda: LaurentOp.t_power(2, 0).coeff(0.7), "exponent must be an integer"),
+        (lambda: LaurentOp.t_power(2, 1.5), "shift must be an integer"),
+        (lambda: LaurentOp.t_power(2.0, 1), "dimension must be an integer"),
+        (lambda: pu.random_ppu(full_algebra(2), 2, 0.9, 3), "shift must be an integer"),
+        (lambda: pu.random_ppu(full_algebra(2), 2.5, 0, 1), "factor count must be an integer"),
+        (lambda: pu.random_ppu(full_algebra(2), 0, 0, 0.5), "seed must be an integer"),
+        (lambda: pu.random_projection_in(full_algebra(2), "7"), "seed must be an integer"),
+        (lambda: pu.derive_seed(1, 2.0), "seed must be an integer"),
+        (lambda: pu.generate_algebra(2.0, []), "dimension must be an integer"),
+    ],
+    ids=["exponent-half", "exponent-half-beside-0", "exponent-str", "exponent-none", "dim",
+         "list", "shifted", "coeff", "t-power", "t-power-dim", "random-ppu-shift",
+         "random-ppu-count", "random-ppu-seed", "projection-seed", "derive-seed",
+         "algebra-dim"],
+)
+def test_integer_arguments_must_be_integers(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_integers_of_any_kind_and_size_pass():
+    op = LaurentOp(np.int64(2), {np.int64(3): P1, 10**30: P2, np.uint8(1): P1})
+    assert op.exponents == (1, 3, 10**30)
+    assert all(type(e) is int for e in op.exponents) and type(op.dim) is int
+    assert op.shifted(np.int32(-1)).exponents == (0, 2, 10**30 - 1)
+    assert np.array_equal(op.coeff(np.int64(3)), P1)
+    assert LaurentOp.t_power(np.int64(2), np.int16(-4)).exponents == (-4,)
+    a = full_algebra(2)
+    got = pu.random_ppu(a, np.int64(3), np.int8(1), np.uint64(5))
+    want = pu.random_ppu(a, 3, 1, 5)
+    assert got.op.exponents == want.op.exponents
+    assert got.op.stack.tobytes() == want.op.stack.tobytes()
 
 
 def test_zero_op_degree_convention():

@@ -142,9 +142,15 @@ class TestOrder:
         lambda t: pu.meet(None, t),
         lambda t: pu.join(t, t.op),
         lambda t: pu.join(2.0, t),
+        # one-operand operations: a LaurentOp passes the cone test
+        lambda t: pu.factor_positive(t.op),
+        lambda t: pu.gamma_inverse(t.op),
+        lambda t: pu.complement_in_t(t.op),
+        lambda t: t.close_to(t.op),
     ],
     ids=["mul-int", "mul-op", "leq-op", "leq-op-first", "meet-int", "meet-none-first",
-         "join-op", "join-float-first"],
+         "join-op", "join-float-first", "factor-op", "gamma-inverse-op", "complement-op",
+         "close-to-op"],
 )
 def test_a_non_element_operand_is_an_input_error(call):
     t = pu.ppu_t_power(diag_algebra(2), 1)
