@@ -24,6 +24,7 @@ from .numfield import (
 from .star_algebra import (
     StarAlgebra,
     certify_member,
+    certify_members,
     check_orthomodular,
     commutant,
     generate_algebra,
@@ -61,6 +62,7 @@ __all__ = [
     "Subspace",
     "Tolerances",
     "certify_member",
+    "certify_members",
     "check_orthomodular",
     "commutant",
     "complement_in_t",

@@ -104,7 +104,7 @@ class LaurentOp:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, coeffs):
-        dim = as_integer(dim, "dimension")
+        dim = as_integer(dim, "dimension", 1)
         if not isinstance(coeffs, Mapping):
             raise InputError("coefficients must map exponents to matrices")
         exponents = [as_integer(e, "exponent") for e in coeffs]
@@ -144,7 +144,7 @@ class LaurentOp:
     @classmethod
     def t_power(cls, dim: int, k: int) -> "LaurentOp":
         """t^k: the t^0 kept per size, shifted."""
-        return _t_zero(as_integer(dim, "dimension")).shifted(k)
+        return _t_zero(as_integer(dim, "dimension", 1)).shifted(k)
 
     @property
     def coeffs(self) -> types.MappingProxyType:

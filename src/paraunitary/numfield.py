@@ -83,13 +83,17 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def as_integer(value, what: str) -> int:
-    """``value`` as a Python int if it is an integer of any kind or size; anything
-    else, a float or a string too, is an ``InputError`` naming ``what``."""
+def as_integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int if it is an integer of any kind or size, and
+    at least ``minimum`` if one is given; anything else, a float or a string
+    too, is an ``InputError`` naming ``what``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InputError(f"{what} must be an integer, got {type(value).__name__}") from None
+    if minimum is not None and value < minimum:
+        raise InputError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
 @functools.lru_cache(maxsize=64)
@@ -200,11 +204,11 @@ class Subspace:
 
 
 def zero_subspace(n: int) -> Subspace:
-    return Subspace(np.zeros((n, 0), dtype=np.complex128))
+    return Subspace(np.zeros((as_integer(n, "dimension", 0), 0), dtype=np.complex128))
 
 
 def full_subspace(n: int) -> Subspace:
-    return Subspace(np.eye(n, dtype=np.complex128))
+    return Subspace(np.eye(as_integer(n, "dimension", 0), dtype=np.complex128))
 
 
 def orthonormal_basis(cols, scale: float | None = None) -> Subspace:

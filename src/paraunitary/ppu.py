@@ -32,10 +32,12 @@ import numpy as np
 from .laurent import (
     LaurentOp,
     PpuElement,
+    _shift,
     _star_product,
     _trim,
     common_algebra,
     in_positive_cone,
+    ppu_t_power,
 )
 from .numfield import (
     InputError,
@@ -51,16 +53,41 @@ from .star_algebra import (
     InvariantSubspace,
     StarAlgebra,
     certify_member,
+    certify_members,
     random_projection_in,
 )
 from .reporting import derive_seed
 
 MAX_PEEL_STEPS = 2**16
+# a peel certifies its divisors this many at a time, so the stacked test's
+# memory does not grow with the step count
+CERTIFY_CHUNK = 64
 
 
 def _elementary(s: Subspace) -> LaurentOp:
     """p_s = t pi_s + (1 - pi_s), from the subspace's kept pair."""
     return LaurentOp._make(s.ambient_dim, *_trim((0, 1), *s.elementary_pair()))
+
+
+def _product(algebra: StarAlgebra, k: int, members, inverse: bool = False) -> PpuElement:
+    """t^k p_1 ... p_m, or with ``inverse`` t^k p_1^-1 ... p_m^-1, certified.
+
+    The product starts from p_1's kept pair, trimmed, shifted by k and
+    plus 0.0: t^k times p_1^(+-1) would add those terms into zeros, which
+    turns each negative zero into a positive one, so the start is bitwise
+    that product.  No member gives the algebra's certified t^k.
+    """
+    if not members:
+        return ppu_t_power(algebra, k)
+    first, *rest = members
+    pair = first.subspace.elementary_pair()
+    exponents, stack, norms = _trim((0, -1) if inverse else (0, 1), *pair)
+    if inverse:  # p^-1 = t^-1 pi + (1 - pi): in exponent order, pi comes first
+        exponents, stack, norms = exponents[::-1], stack[::-1], norms[::-1]
+    op = LaurentOp._make(algebra.dim, _shift(exponents, k), stack + 0.0, norms)
+    for member in rest:
+        op = op.times_elementary(member.subspace, inverse)
+    return PpuElement(op, algebra)
 
 
 def p_of(member: InvariantSubspace) -> PpuElement:
@@ -75,6 +102,21 @@ def gamma_inverse(el: PpuElement) -> InvariantSubspace:
         raise InputError("element is not between the identity and t")
     factors = factor_positive(el).factors
     return factors[0] if factors else certify_member(algebra, zero_subspace(el.op.dim))
+
+
+def _certify(
+    algebra: StarAlgebra, pending: list[Subspace], peeled: list[InvariantSubspace]
+) -> None:
+    """Certify the pending divisors in one call and move them to ``peeled``."""
+    if not pending:
+        return
+    chunk = pending[:]
+    pending.clear()
+    try:
+        peeled += certify_members(algebra, chunk)
+    except InputError as exc:
+        j = len(peeled) + exc.index + 1
+        raise NumericalError(f"divisor {j} failed certification") from exc
 
 
 def _peel(
@@ -97,32 +139,43 @@ def _peel(
     passes that test on its certificate.  Returns the peeled members and
     the remainders.  A step under a bound above ``MAX_PEEL_STEPS`` raises
     ``InputError``, so a peel that takes no step still answers.
+
+    The divisors are certified members of X(A') in one ``certify_members``
+    call per ``CERTIFY_CHUNK`` steps, the last chunk when the peel ends.
+    Before any error is raised, the divisors not yet certified are, so a
+    divisor j outside X(A') is reported as such ahead of any later error,
+    as it was when each step certified its own.
     """
     ops = [x.op if isinstance(x, PpuElement) else x for x in operands]
     cap = algebra.dim * min(op.hi for op in ops)
     peeled: list[InvariantSubspace] = []
-    while min(op.hi for op in ops) > 0:
-        # x_0 is read from the stack, not copied, where it is the first term
-        constants = [op.stack[0] if op.lo == 0 else op.coeff(0) for op in ops]
-        if not right:
-            constants = [c.conj().T for c in constants]
-        s = kernel(constants[0] if len(ops) == 1 else np.concatenate(constants))
-        if s.dim == 0:
-            break
-        if cap > MAX_PEEL_STEPS:
-            raise InputError(f"the greedy peel may need more than {MAX_PEEL_STEPS} steps")
-        if len(peeled) == cap:
-            raise NumericalError(f"greedy peel did not end within {cap} steps")
-        try:
-            member = certify_member(algebra, s)
-        except InputError as exc:
-            raise NumericalError(f"divisor {len(peeled) + 1} failed certification") from exc
-        ops = [op.times_elementary(s, inverse=True, on_left=not right) for op in ops]
-        if min(op.lo for op in ops) < 0:
-            raise NumericalError(f"negative exponent after divisor {len(peeled) + 1}")
-        peeled.append(member)
-    if not all(in_positive_cone(x) for x in (ops if peeled else operands)):
-        raise NumericalError("greedy peel left a remainder outside the positive cone")
+    pending: list[Subspace] = []
+    try:
+        while min(op.hi for op in ops) > 0:
+            # x_0 is read from the stack, not copied, where it is the first term
+            constants = [op.stack[0] if op.lo == 0 else op.coeff(0) for op in ops]
+            if not right:
+                constants = [c.conj().T for c in constants]
+            s = kernel(constants[0] if len(ops) == 1 else np.concatenate(constants))
+            if s.dim == 0:
+                break
+            if cap > MAX_PEEL_STEPS:
+                raise InputError(f"the greedy peel may need more than {MAX_PEEL_STEPS} steps")
+            if len(peeled) + len(pending) == cap:
+                raise NumericalError(f"greedy peel did not end within {cap} steps")
+            pending.append(s)
+            ops = [op.times_elementary(s, inverse=True, on_left=not right) for op in ops]
+            if min(op.lo for op in ops) < 0:
+                j = len(peeled) + len(pending)
+                raise NumericalError(f"negative exponent after divisor {j}")
+            if len(pending) == CERTIFY_CHUNK:
+                _certify(algebra, pending, peeled)
+        _certify(algebra, pending, peeled)
+        if not all(in_positive_cone(x) for x in (ops if peeled else operands)):
+            raise NumericalError("greedy peel left a remainder outside the positive cone")
+    except Exception:
+        _certify(algebra, pending, peeled)  # its failure replaces the error at hand
+        raise
     return peeled, ops
 
 
@@ -186,7 +239,9 @@ class FactorList:
 
     ``factor_positive`` reassembles the product p_1 * ... * p_k to check
     its answer, and keeps that certified product as ``assembled``; a
-    list built otherwise has ``None`` there.
+    list built otherwise has ``None`` there.  ``assemble`` starts the
+    product from p_1's kept pair (see ``_product``), and an empty list
+    assembles to the algebra's certified identity, shifted.
     """
 
     shift: int
@@ -194,10 +249,7 @@ class FactorList:
     assembled: PpuElement | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def assemble(self, algebra: StarAlgebra) -> PpuElement:
-        op = LaurentOp.t_power(algebra.dim, -self.shift)
-        for member in self.factors:
-            op = op.times_elementary(member.subspace)
-        return PpuElement(op, algebra)
+        return _product(algebra, -self.shift, self.factors)
 
 
 def factor_positive(el: PpuElement) -> FactorList:
@@ -206,9 +258,12 @@ def factor_positive(el: PpuElement) -> FactorList:
     The head of the element is its greatest common left divisor with t,
     so dividing by it lowers the top exponent by exactly one: the factor
     count equals the top exponent, and a head split over two steps shows
-    up as one factor too many.  Over an abelian algebra the j-th head is
-    the union of the atoms whose exponent is at least j; a top exponent
-    that a peel might refuse is refused there too.
+    up as one factor too many.  The peel certifies its divisors in
+    chunks (see ``_peel``).  Over an abelian algebra the j-th head is the
+    union of the atoms whose exponent is at least j, and the distinct
+    heads are certified in one call; a top exponent that a peel might
+    refuse is refused there too.  The k factors reassemble in k - 1
+    elementary products.
     """
     algebra = common_algebra(el)
     if not in_positive_cone(el):
@@ -225,11 +280,13 @@ def factor_positive(el: PpuElement) -> FactorList:
             raise InputError(f"the greedy peel may need more than {MAX_PEEL_STEPS} steps")
         w = _exponent_vector(el, atoms)
         levels = sorted({wi for wi in w if wi > 0})
-        members = []
+        heads = certify_members(algebra, [
+            Subspace(np.concatenate([f for f, wi in zip(atoms.frames, w) if wi >= level], axis=1))
+            for level in levels
+        ])
         # the heads at the levels below = wi are the same union of atoms
-        for below, level in zip([0, *levels], levels):
-            frame = np.concatenate([f for f, wi in zip(atoms.frames, w) if wi >= level], axis=1)
-            members += [certify_member(algebra, Subspace(frame))] * (level - below)
+        members = [m for m, below, level in zip(heads, [0, *levels], levels)
+                   for _ in range(level - below)]
     members = tuple(members)
     assembled = FactorList(0, members).assemble(algebra)
     if not assembled.op.close_to(el.op):
@@ -263,10 +320,7 @@ def join(a: PpuElement, b: PpuElement) -> PpuElement:
         return _from_exponent_vector(algebra, atoms, list(v))
     k = max(a.hi, b.hi)
     members, _ = _peel([a.op.star().shifted(k), b.op.star().shifted(k)], algebra, right=True)
-    op = LaurentOp.t_power(algebra.dim, k)
-    for member in members:
-        op = op.times_elementary(member.subspace, inverse=True)
-    return PpuElement(op, algebra)
+    return _product(algebra, k, members, inverse=True)
 
 
 def complement_in_t(el: PpuElement) -> PpuElement:
@@ -283,7 +337,7 @@ def complement_in_t(el: PpuElement) -> PpuElement:
 def random_ppu(algebra: StarAlgebra, k: int, shift: int, seed: int) -> PpuElement:
     """Seeded product of k random elementary factors, shifted by t^-shift."""
     k, shift = as_integer(k, "factor count"), as_integer(shift, "shift")
-    seed = as_integer(seed, "seed")
+    seed = as_integer(seed, "seed", 0)
     if k < 0:
         raise InputError("factor count must be non-negative")
     members = tuple([random_projection_in(algebra, derive_seed(seed, i)) for i in range(k)])

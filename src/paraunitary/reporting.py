@@ -50,6 +50,11 @@ class CheckReport:
     vacuous: int = 0
     effective: int = 0
 
+    def __post_init__(self):
+        # every check makes its report first, so its arguments are checked here
+        self.samples = as_integer(self.samples, "sample count", 0)
+        self.seed = as_integer(self.seed, "seed", 0)
+
     @property
     def passed(self) -> bool:
         return not self.failures

@@ -81,7 +81,7 @@ class StarAlgebra:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, dim: int, generators, basis):
-        dim = as_integer(dim, "dimension")
+        dim = as_integer(dim, "dimension", 1)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "generators", _stack(dim, generators))
         object.__setattr__(self, "basis", _stack(dim, basis))
@@ -117,9 +117,12 @@ class StarAlgebra:
         if not np.isfinite(x).all():
             raise InputError("matrix has non-finite entries")
         flat = x.reshape(-1, self.dim * self.dim)
+        return float(self._membership_residuals(flat).max(initial=0.0))
+
+    def _membership_residuals(self, flat: np.ndarray) -> np.ndarray:
+        """||x - pi(x)||_F / max(1, ||x||_F) for each row-major vec x, a row of ``flat``."""
         projection = (flat @ self._vec_h) @ self._vec
-        residuals = frob(flat - projection, axis=1) / np.maximum(1.0, frob(flat, axis=1))
-        return float(residuals.max(initial=0.0))
+        return frob(flat - projection, axis=1) / np.maximum(1.0, frob(flat, axis=1))
 
     @property
     def commutant(self) -> "StarAlgebra":
@@ -214,7 +217,7 @@ def generate_algebra(n: int, gens) -> StarAlgebra:
     direction and V would be a left module over the closure rather than
     the closure.  Such a round raises ``NumericalError``.
     """
-    n = as_integer(n, "dimension")
+    n = as_integer(n, "dimension", 1)
     gens = [as_matrix(g) for g in gens]
     for g in gens:
         if g.shape != (n, n):
@@ -353,38 +356,72 @@ class InvariantSubspace:
     algebra: StarAlgebra
 
 
+def _first_nonmember(a: StarAlgebra, subspaces: list[Subspace]) -> int | None:
+    """Index of the first subspace outside the lattice X(A'), or ``None``.
+
+    Two criteria are evaluated for every subspace, each in one stacked
+    product: its projector lies in the algebra (the stacked projectors
+    times the basis), and it is invariant under a basis of the commutant
+    (every basis element times every projector).  They must agree; the
+    first subspace, in order, on which they disagree beyond tolerance is a
+    ``NumericalError``, unless a non-member comes before it.
+    """
+    if any(s.ambient_dim != a.dim for s in subspaces):
+        raise InputError("ambient dimension mismatch")
+    if not subspaces:
+        return None
+    n, r, eq = a.dim, len(subspaces), tolerances().eq
+    projectors = np.array([s.projector() for s in subspaces])
+    proj_residuals = a._membership_residuals(projectors.reshape(r, n * n)).tolist()
+    inv_residuals = [0.0] * r
+    if any(s.dim for s in subspaces):  # the zero subspace is invariant, without the commutant
+        # worst relative ||(I - pi) c pi||_F / max(1, ||c pi||_F) over the
+        # commutant basis c: ||x pi||_F = ||x f||_F for an orthonormal frame f
+        moved = a.commutant.basis @ projectors[:, None]
+        outside = moved - projectors[:, None] @ moved
+        ratios = frob(outside, axis=(2, 3)) / np.maximum(1.0, frob(moved, axis=(2, 3)))
+        inv_residuals = ratios.max(axis=1).tolist()
+    for i, (proj_residual, inv_residual) in enumerate(zip(proj_residuals, inv_residuals)):
+        by_projector = proj_residual <= eq
+        if by_projector != (inv_residual <= eq):
+            raise NumericalError(
+                "membership criteria disagree: projector residual "
+                f"{proj_residual:.3e}, invariance residual {inv_residual:.3e}"
+            )
+        if not by_projector:
+            return i
+    return None
+
+
 def is_member_XAprime(a: StarAlgebra, s: Subspace) -> bool:
     """Does the subspace belong to the lattice X(A')?
 
-    Two criteria are evaluated: the projector lies in the algebra, and
-    the subspace is invariant under a basis of the commutant.  They must
-    agree; a disagreement beyond tolerance is a numerical inconsistency.
+    The one-subspace case of ``certify_members``: its projector must lie
+    in the algebra, and the subspace must be invariant under a basis of
+    the commutant.  A disagreement of the two criteria beyond tolerance
+    is a numerical inconsistency.
     """
-    if s.ambient_dim != a.dim:
-        raise InputError("ambient dimension mismatch")
-    proj_residual = a.membership_residual(s.projector())
-    by_projector = proj_residual <= tolerances().eq
-    # worst relative ||(I - pi_s) c f||_F / max(1, ||c f||_F), f the frame,
-    # over the commutant basis c, in one stacked product
-    inv_residual = 0.0
-    if s.dim > 0:
-        moved = a.commutant.basis @ s.frame
-        outside = moved - s.frame @ (s.frame.conj().T @ moved)
-        ratios = frob(outside, axis=(1, 2)) / np.maximum(1.0, frob(moved, axis=(1, 2)))
-        inv_residual = float(ratios.max())
-    by_invariance = inv_residual <= tolerances().eq
-    if by_projector != by_invariance:
-        raise NumericalError(
-            "membership criteria disagree: projector residual "
-            f"{proj_residual:.3e}, invariance residual {inv_residual:.3e}"
-        )
-    return by_projector
+    return _first_nonmember(a, [s]) is None
+
+
+def certify_members(a: StarAlgebra, subspaces) -> list[InvariantSubspace]:
+    """Certify subspaces as members of X(A'), all in one stacked test.
+
+    Raises for the first subspace, in order, that fails: ``NumericalError``
+    where the two criteria of ``is_member_XAprime`` disagree on it,
+    otherwise ``InputError`` whose ``index`` is its position.
+    """
+    subspaces = list(subspaces)
+    i = _first_nonmember(a, subspaces)
+    if i is not None:
+        error = InputError("subspace is not a member of the invariant lattice")
+        error.index = i
+        raise error
+    return [InvariantSubspace(s, a) for s in subspaces]
 
 
 def certify_member(a: StarAlgebra, s: Subspace) -> InvariantSubspace:
-    if not is_member_XAprime(a, s):
-        raise InputError("subspace is not a member of the invariant lattice")
-    return InvariantSubspace(s, a)
+    return certify_members(a, [s])[0]
 
 
 def random_projection_in(a: StarAlgebra, seed: int) -> InvariantSubspace:
@@ -396,7 +433,7 @@ def random_projection_in(a: StarAlgebra, seed: int) -> InvariantSubspace:
     eigenspaces.  The result always certifies; degenerate draws are
     retried up to 16 times.
     """
-    seed = as_integer(seed, "seed")
+    seed = as_integer(seed, "seed", 0)
     for attempt in range(16):
         rng = np.random.default_rng([seed, attempt])
         vecs, clusters = _eigen_clusters(a.hermitian_sample(rng))

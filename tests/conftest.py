@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
-from paraunitary import laurent
+from paraunitary import laurent, ppu
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import (
     InputError,
+    NumericalError,
     as_matrix,
     frob,
     kernel,
@@ -436,6 +437,84 @@ def reference_join(a, b):
 
 def reference_factors(el):
     return reference_peel([ReferenceLaurent.of(el.op)])
+
+
+# Reference per-step peel.  ``ppu._peel`` certifies its divisors with one
+# ``certify_members`` call per chunk of steps, and a product of elementary
+# factors starts from its first factor's kept pair.  These are the code they
+# replaced, against which their answers and errors are checked bitwise: each
+# divisor certified on its own before it divides, and products from t^k.
+# The kernel is looked up as ``ppu.kernel``, so a fault injected there
+# reaches both peels.
+
+
+def stepwise_peel(operands, algebra, right=False):
+    ops = [x.op if isinstance(x, pu.PpuElement) else x for x in operands]
+    cap = algebra.dim * min(op.hi for op in ops)
+    peeled = []
+    while min(op.hi for op in ops) > 0:
+        constants = [op.stack[0] if op.lo == 0 else op.coeff(0) for op in ops]
+        if not right:
+            constants = [c.conj().T for c in constants]
+        s = ppu.kernel(constants[0] if len(ops) == 1 else np.concatenate(constants))
+        if s.dim == 0:
+            break
+        if cap > ppu.MAX_PEEL_STEPS:
+            raise InputError(f"the greedy peel may need more than {ppu.MAX_PEEL_STEPS} steps")
+        if len(peeled) == cap:
+            raise NumericalError(f"greedy peel did not end within {cap} steps")
+        try:
+            member = pu.certify_member(algebra, s)
+        except InputError as exc:
+            raise NumericalError(f"divisor {len(peeled) + 1} failed certification") from exc
+        ops = [op.times_elementary(s, inverse=True, on_left=not right) for op in ops]
+        if min(op.lo for op in ops) < 0:
+            raise NumericalError(f"negative exponent after divisor {len(peeled) + 1}")
+        peeled.append(member)
+    if not all(laurent.in_positive_cone(x) for x in (ops if peeled else operands)):
+        raise NumericalError("greedy peel left a remainder outside the positive cone")
+    return peeled, ops
+
+
+def stepwise_product(algebra, k, members, inverse=False):
+    """t^k p_1^(+-1) ... p_m^(+-1), from t^k."""
+    op = LaurentOp.t_power(algebra.dim, k)
+    for member in members:
+        op = op.times_elementary(member.subspace, inverse=inverse)
+    return pu.PpuElement(op, algebra)
+
+
+def stepwise_factor_positive(el):
+    """``factor_positive`` over the peel: the factors and their product."""
+    if not laurent.in_positive_cone(el):
+        raise InputError("element is not in the positive cone")
+    members, (rest,) = stepwise_peel([el], el.algebra)
+    if len(members) != el.hi:
+        raise NumericalError(f"{len(members)} factors for top exponent {el.hi}")
+    if not rest.close_to(LaurentOp.t_power(el.op.dim, 0)):
+        raise NumericalError("factorization left a non-identity remainder")
+    assembled = stepwise_product(el.algebra, 0, members)
+    if not assembled.op.close_to(el.op):
+        raise NumericalError("reassembled factorization does not match the input")
+    return members, assembled
+
+
+def stepwise_meet(a, b):
+    m = min(a.lo, b.lo)
+    members, _ = stepwise_peel([a.shifted(-m), b.shifted(-m)], a.algebra)
+    return stepwise_product(a.algebra, m, members)
+
+
+def stepwise_join(a, b):
+    k = max(a.hi, b.hi)
+    members, _ = stepwise_peel([a.op.star().shifted(k), b.op.star().shifted(k)], a.algebra,
+                               right=True)
+    return stepwise_product(a.algebra, k, members, inverse=True)
+
+
+def stepwise_random_ppu(algebra, k, shift, seed):
+    members = [pu.random_projection_in(algebra, pu.derive_seed(seed, i)) for i in range(k)]
+    return stepwise_product(algebra, -shift, members)
 
 
 def reference_random_ppu(algebra, k, shift, seed):

@@ -17,13 +17,21 @@ from hypothesis import given, settings, strategies as st
 import paraunitary as pu
 from paraunitary import laurent, ppu
 from paraunitary.laurent import LaurentOp
-from paraunitary.numfield import InputError, identity, subspace_residual, tolerance_scope
+from paraunitary.numfield import (
+    InputError,
+    NumericalError,
+    identity,
+    subspace_residual,
+    tolerance_scope,
+)
 
 from conftest import (
     ReferenceLaurent,
+    block_algebra,
     block_diagonal_algebra,
     diag_algebra,
     doubled_algebra,
+    full_algebra,
     load_module,
     rand_matrix,
     random_algebra,
@@ -35,6 +43,10 @@ from conftest import (
     reference_random_ppu,
     reference_scattered,
     scalar_algebra,
+    stepwise_factor_positive,
+    stepwise_join,
+    stepwise_meet,
+    stepwise_random_ppu,
 )
 
 SCALES = [1.0, 1e-300, 1e-163, 1e200]
@@ -506,6 +518,53 @@ def test_lattice_operations_match_the_reference(n, draw):
     assert len(factors) == len(expected)
     for got, want in zip(factors, expected):
         assert subspace_residual(got.subspace, want) <= eq
+
+
+STEPWISE_ALGEBRAS = {
+    "full:3": lambda: full_algebra(3, seed=11),
+    "full:4": lambda: full_algebra(4, seed=12),
+    "full:7": lambda: full_algebra(7, seed=13),
+    "doubled:3": lambda: doubled_algebra(3, seed=14),
+    "block:2+3": lambda: block_algebra([2, 3], seed=15),
+    "block:2+2+3": lambda: block_algebra([2, 2, 3], seed=16),
+    "block:2+3+3": lambda: block_algebra([2, 3, 3], seed=17),
+}
+
+
+def outcome(run, *args):
+    """What ``run`` answers, as exponents and bytes (the frames of a
+    factorization too), or the class and message of what it raises."""
+    try:
+        out = run(*args)
+    except (InputError, NumericalError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, pu.FactorList):
+        out = out.factors, out.assembled
+    frames = None
+    if isinstance(out, tuple):
+        members, out = out
+        frames = [m.subspace.frame.tobytes() for m in members]
+    return frames, out.op.exponents, out.op.stack.tobytes(), out.op.norms.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STEPWISE_ALGEBRAS))
+def test_chunked_certification_answers_as_the_stepwise_peel_does(name):
+    # the peel certifies its divisors in chunks and products start from
+    # their first factor: every answer and every error is bitwise that of
+    # the peel that certified each step and the products from t^k
+    a = STEPWISE_ALGEBRAS[name]()
+    for k in (1, 2, 3, 4, 8, 16):
+        for seed in range(4):
+            shift = seed % 2 - 1
+            x = pu.random_ppu(a, k, shift, seed)
+            assert outcome(lambda: x) == outcome(stepwise_random_ppu, a, k, shift, seed)
+            y = pu.random_ppu(a, k, 0, seed + 100)
+            positive = x.shifted(-x.lo)
+            for got, want, args in ((pu.factor_positive, stepwise_factor_positive, (positive,)),
+                                    (pu.meet, stepwise_meet, (x, y)),
+                                    (pu.join, stepwise_join, (x, y)),
+                                    (pu.meet, stepwise_meet, (y, y.shifted(1)))):
+                assert outcome(got, *args) == outcome(want, *args)
 
 
 # abelian algebras and the coordinates that span each of their atoms

@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paraunitary as pu
-from paraunitary import laurent
+from paraunitary import axioms, laurent
 from paraunitary.laurent import LaurentOp, paraunitarity_residual
-from paraunitary.numfield import InputError, NumericalError, mat_residual, tolerance_scope
+from paraunitary.numfield import (
+    InputError,
+    NumericalError,
+    full_subspace,
+    mat_residual,
+    tolerance_scope,
+)
 
 from conftest import (
     certified_samples,
@@ -417,6 +423,36 @@ def test_trim_drops_dust_relative_to_peak():
          "algebra-dim"],
 )
 def test_integer_arguments_must_be_integers(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LaurentOp(-1, {}), "dimension must be at least 1, got -1"),
+        (lambda: LaurentOp(0, {}), "dimension must be at least 1, got 0"),
+        (lambda: pu.StarAlgebra(-1, [], []), "dimension must be at least 1"),
+        (lambda: pu.StarAlgebra(0, [], []), "dimension must be at least 1"),
+        (lambda: pu.generate_algebra(0, []), "dimension must be at least 1"),
+        (lambda: pu.generate_algebra(-2, []), "dimension must be at least 1"),
+        (lambda: full_subspace(-1), "dimension must be at least 0"),
+        (lambda: LaurentOp.t_power(-2, 0), "dimension must be at least 1"),
+        (lambda: pu.random_projection_in(full_algebra(2), -1), "seed must be at least 0"),
+        (lambda: pu.random_ppu(full_algebra(2), 0, 0, -1), "seed must be at least 0"),
+        (lambda: axioms.run_suite(full_algebra(2), ["gvm"], samples=2.5),
+         "sample count must be an integer"),
+        (lambda: axioms.check_commutative_model(3, 1.5, 0), "sample count must be an integer"),
+        (lambda: axioms.run_suite(full_algebra(2), ["gvm"], samples=-3),
+         "sample count must be at least 0"),
+        (lambda: axioms.check_normality(full_algebra(2), 2, seed=-1), "seed must be at least 0"),
+    ],
+    ids=["laurent-dim-negative", "laurent-dim-zero", "algebra-dim-negative", "algebra-dim-zero",
+         "generate-dim-zero", "generate-dim-negative", "full-subspace-dim", "t-power-dim",
+         "projection-seed", "random-ppu-seed", "suite-samples-float", "commutative-samples-float",
+         "suite-samples-negative", "check-seed-negative"],
+)
+def test_out_of_range_integer_arguments_are_input_errors(call, message):
     with pytest.raises(InputError, match=message):
         call()
 

@@ -30,6 +30,7 @@ from conftest import (
     oracle_window,
     random_algebra,
     scalar_algebra,
+    stepwise_factor_positive,
 )
 
 E1 = np.array([[1.0], [0.0]])
@@ -334,14 +335,118 @@ class TestFactorPositive:
     def test_reassembly_catches_a_factor_other_than_the_divisor(self, monkeypatch, make):
         # the peel (over M_2) or the exponent vector (over the diagonal
         # algebra) finds p_M but records p_{M^perp}: the count is right,
-        # only the product differs
+        # only the product differs; both certify their divisors in one call
         a = make(2)
         monkeypatch.setattr(
-            ppu, "certify_member",
-            lambda alg, s: pu.certify_member(alg, pu.ortho_complement(s)),
+            ppu, "certify_members",
+            lambda alg, subs: pu.certify_members(alg, [pu.ortho_complement(s) for s in subs]),
         )
         with pytest.raises(NumericalError, match="reassembled"):
             pu.factor_positive(pu.p_of(member_of(a, E1)))
+
+
+def injected_kernel(monkeypatch, steps):
+    """``ppu.kernel`` that answers ``steps[j]`` at the step j it names (from
+    1), or raises it if it is an exception."""
+    calls = []
+
+    def injected(m):
+        calls.append(m)
+        step = steps.get(len(calls))
+        if isinstance(step, Exception):
+            raise step
+        return step or kernel(m)
+
+    monkeypatch.setattr(ppu, "kernel", injected)
+    return calls
+
+
+def certified_chunks(monkeypatch):
+    """The sizes of the peel's ``certify_members`` calls, in order."""
+    sizes = []
+    members = pu.certify_members
+    monkeypatch.setattr(ppu, "certify_members",
+                        lambda alg, subs: sizes.append(len(subs)) or members(alg, subs))
+    return sizes
+
+
+class TestChunkedCertification:
+    """The peel certifies its divisors in one call per chunk of steps, and
+    reports a divisor outside X(A') ahead of any later error."""
+
+    def test_a_non_member_is_reported_ahead_of_a_later_error(self, monkeypatch):
+        # t^2 peels its head C^4; then a coordinate line, which the
+        # commutant moves into the other copy of C^2, and C^4 again leave a
+        # negative exponent after divisor 3
+        a = doubled_algebra(2)
+        line = pu.orthonormal_basis(np.array([[1.0], [0.0], [0.0], [0.0]]))
+        assert not pu.is_member_XAprime(a, line)
+        steps = {2: line, 3: pu.orthonormal_basis(np.eye(4))}
+        for run in (pu.factor_positive, stepwise_factor_positive):
+            injected_kernel(monkeypatch, steps)
+            with pytest.raises(NumericalError, match="^divisor 2 failed certification$"):
+                run(pu.ppu_t_power(a, 2))
+
+    @pytest.mark.parametrize("where", ["kernel", "division"])
+    def test_a_non_member_is_reported_ahead_of_an_unexpected_exception(self, monkeypatch, where):
+        # step 2 takes a non-member line; then the kernel of step 3, or the
+        # division of step 2 itself, raises what no peel expects
+        a = doubled_algebra(2)
+        line = pu.orthonormal_basis(np.array([[1.0], [0.0], [0.0], [0.0]]))
+        divide = LaurentOp.times_elementary
+        for run in (pu.factor_positive, stepwise_factor_positive):
+            if where == "kernel":
+                injected_kernel(monkeypatch, {2: line, 3: ZeroDivisionError("step 3")})
+            else:
+                injected_kernel(monkeypatch, {2: line})
+                divisions = []
+
+                def division_2_raises(op, *args, **kwargs):
+                    divisions.append(op)
+                    if len(divisions) == 2:
+                        raise ZeroDivisionError("division 2")
+                    return divide(op, *args, **kwargs)
+
+                monkeypatch.setattr(LaurentOp, "times_elementary", division_2_raises)
+            with pytest.raises(NumericalError, match="^divisor 2 failed certification$"):
+                run(pu.ppu_t_power(a, 3))
+
+    def test_a_peel_past_one_chunk(self, monkeypatch):
+        a = doubled_algebra(2)
+        el = pu.ppu_t_power(a, 70)
+        certified = certified_chunks(monkeypatch)
+        fl = pu.factor_positive(el)
+        assert certified == [ppu.CERTIFY_CHUNK, 70 - ppu.CERTIFY_CHUNK]
+        assert len(fl.factors) == 70 and all(m.subspace.dim == 4 for m in fl.factors)
+        assert fl.assembled.op.exponents == el.op.exponents
+        assert np.array_equal(fl.assembled.op.stack, el.op.stack)
+        line = pu.orthonormal_basis(np.array([[0.0], [1.0], [0.0], [0.0]]))
+        for run in (pu.factor_positive, stepwise_factor_positive):
+            injected_kernel(monkeypatch, {66: line})
+            with pytest.raises(NumericalError, match="^divisor 66 failed certification$"):
+                run(el)
+
+    @pytest.mark.parametrize("kind, factors", [("t-power", 1), ("t-power", 3), ("t-power", 64),
+                                                ("t-power", 65), ("random", 4), ("random", 16)])
+    def test_work_per_factorization(self, monkeypatch, kind, factors):
+        # degree k takes k kernels, one certification per chunk of 64
+        # divisors, and 2k - 1 elementary products: k divisions and k - 1
+        # to reassemble (a random product of k factors may have lower degree)
+        a = full_algebra(3, seed=7)
+        el = (pu.ppu_t_power(a, factors) if kind == "t-power"
+              else pu.random_ppu(a, factors, 0, seed=3))
+        k = el.hi
+        assert k > 0
+        kernels = injected_kernel(monkeypatch, {})
+        certified = certified_chunks(monkeypatch)
+        products = []
+        times = LaurentOp.times_elementary
+        monkeypatch.setattr(LaurentOp, "times_elementary",
+                            lambda op, *args, **kw: products.append(op) or times(op, *args, **kw))
+        assert len(pu.factor_positive(el).factors) == k
+        assert len(kernels) == k
+        assert len(certified) == -(-k // ppu.CERTIFY_CHUNK) and sum(certified) == k
+        assert len(products) == 2 * k - 1
 
 
 class TestReconstruct:
@@ -667,11 +772,12 @@ class TestCertifiedOnce:
         assert len(certifications) == 2
 
     def test_meet_without_a_common_head(self, pm, certifications):
-        # no step divides the operands, so only the answer is certified
+        # no step divides the operands, so the answer is the algebra's
+        # identity, certified before, shifted: nothing is certified
         el, complement = pm
         assert pu.meet(el.shifted(-2), complement.shifted(-2)).close_to(
             pu.ppu_t_power(el.algebra, -2))
-        assert len(certifications) == 1
+        assert len(certifications) == 0
 
 
 class TestOrderUnitExponent:
