@@ -59,9 +59,6 @@ from .star_algebra import (
 from .reporting import derive_seed
 
 MAX_PEEL_STEPS = 2**16
-# a peel certifies its divisors this many at a time, so the stacked test's
-# memory does not grow with the step count
-CERTIFY_CHUNK = 64
 
 
 def _elementary(s: Subspace) -> LaurentOp:
@@ -104,19 +101,13 @@ def gamma_inverse(el: PpuElement) -> InvariantSubspace:
     return factors[0] if factors else certify_member(algebra, zero_subspace(el.op.dim))
 
 
-def _certify(
-    algebra: StarAlgebra, pending: list[Subspace], peeled: list[InvariantSubspace]
-) -> None:
-    """Certify the pending divisors in one call and move them to ``peeled``."""
-    if not pending:
-        return
-    chunk = pending[:]
-    pending.clear()
+def _certify(algebra: StarAlgebra, divisors: list[Subspace]) -> list[InvariantSubspace]:
+    """The divisors as members of X(A'), certified in one call, or
+    ``NumericalError`` naming the first that fails, from 1."""
     try:
-        peeled += certify_members(algebra, chunk)
+        return certify_members(algebra, divisors)
     except InputError as exc:
-        j = len(peeled) + exc.index + 1
-        raise NumericalError(f"divisor {j} failed certification") from exc
+        raise NumericalError(f"divisor {exc.index + 1} failed certification") from exc
 
 
 def _peel(
@@ -140,16 +131,14 @@ def _peel(
     the remainders.  A step under a bound above ``MAX_PEEL_STEPS`` raises
     ``InputError``, so a peel that takes no step still answers.
 
-    The divisors are certified members of X(A') in one ``certify_members``
-    call per ``CERTIFY_CHUNK`` steps, the last chunk when the peel ends.
-    Before any error is raised, the divisors not yet certified are, so a
-    divisor j outside X(A') is reported as such ahead of any later error,
-    as it was when each step certified its own.
+    The divisors are certified in one ``certify_members`` call when the
+    peel ends or before any error is raised, so a divisor j outside X(A')
+    is reported as such ahead of any later error, as it was when each
+    step certified its own.
     """
     ops = [x.op if isinstance(x, PpuElement) else x for x in operands]
     cap = algebra.dim * min(op.hi for op in ops)
-    peeled: list[InvariantSubspace] = []
-    pending: list[Subspace] = []
+    divisors: list[Subspace] = []
     try:
         while min(op.hi for op in ops) > 0:
             # x_0 is read from the stack, not copied, where it is the first term
@@ -161,21 +150,18 @@ def _peel(
                 break
             if cap > MAX_PEEL_STEPS:
                 raise InputError(f"the greedy peel may need more than {MAX_PEEL_STEPS} steps")
-            if len(peeled) + len(pending) == cap:
+            if len(divisors) == cap:
                 raise NumericalError(f"greedy peel did not end within {cap} steps")
-            pending.append(s)
+            divisors.append(s)
             ops = [op.times_elementary(s, inverse=True, on_left=not right) for op in ops]
             if min(op.lo for op in ops) < 0:
-                j = len(peeled) + len(pending)
-                raise NumericalError(f"negative exponent after divisor {j}")
-            if len(pending) == CERTIFY_CHUNK:
-                _certify(algebra, pending, peeled)
-        _certify(algebra, pending, peeled)
-        if not all(in_positive_cone(x) for x in (ops if peeled else operands)):
-            raise NumericalError("greedy peel left a remainder outside the positive cone")
+                raise NumericalError(f"negative exponent after divisor {len(divisors)}")
     except Exception:
-        _certify(algebra, pending, peeled)  # its failure replaces the error at hand
+        _certify(algebra, divisors)  # its failure replaces the error at hand
         raise
+    peeled = _certify(algebra, divisors)
+    if not all(in_positive_cone(x) for x in (ops if peeled else operands)):
+        raise NumericalError("greedy peel left a remainder outside the positive cone")
     return peeled, ops
 
 
@@ -259,7 +245,7 @@ def factor_positive(el: PpuElement) -> FactorList:
     so dividing by it lowers the top exponent by exactly one: the factor
     count equals the top exponent, and a head split over two steps shows
     up as one factor too many.  The peel certifies its divisors in
-    chunks (see ``_peel``).  Over an abelian algebra the j-th head is the
+    one call (see ``_peel``).  Over an abelian algebra the j-th head is the
     union of the atoms whose exponent is at least j, and the distinct
     heads are certified in one call; a top exponent that a peel might
     refuse is refused there too.  The k factors reassemble in k - 1

@@ -42,6 +42,9 @@ CLUSTER_GAP = 1e-6
 ATOM_SEED = 0
 # an algebra's atoms before they are first asked for
 _PENDING = object()
+# most complex entries in one block's stacked invariance product, so a
+# membership test's memory does not grow with the number of subspaces
+CERTIFY_BLOCK_ENTRIES = 2**16
 
 
 def _stack(n: int, mats) -> np.ndarray:
@@ -360,36 +363,43 @@ def _first_nonmember(a: StarAlgebra, subspaces: list[Subspace]) -> int | None:
     """Index of the first subspace outside the lattice X(A'), or ``None``.
 
     Two criteria are evaluated for every subspace, each in one stacked
-    product: its projector lies in the algebra (the stacked projectors
-    times the basis), and it is invariant under a basis of the commutant
-    (every basis element times every projector).  They must agree; the
-    first subspace, in order, on which they disagree beyond tolerance is a
+    product per block of subspaces: its projector lies in the algebra
+    (the stacked projectors times the basis), and it is invariant under a
+    basis of the commutant (every basis element times every projector).
+    The invariance product, ``(block, dim A', n, n)``, is the largest
+    array (the projector stack where every subspace is zero and no
+    commutant is built), so a block holds at most CERTIFY_BLOCK_ENTRIES
+    of its entries, and at least one subspace, however many there are.
+    The criteria must agree; the blocks run in order, and the first
+    subspace on which they disagree beyond tolerance is a
     ``NumericalError``, unless a non-member comes before it.
     """
     if any(s.ambient_dim != a.dim for s in subspaces):
         raise InputError("ambient dimension mismatch")
-    if not subspaces:
-        return None
-    n, r, eq = a.dim, len(subspaces), tolerances().eq
-    projectors = np.array([s.projector() for s in subspaces])
-    proj_residuals = a._membership_residuals(projectors.reshape(r, n * n)).tolist()
-    inv_residuals = [0.0] * r
-    if any(s.dim for s in subspaces):  # the zero subspace is invariant, without the commutant
-        # worst relative ||(I - pi) c pi||_F / max(1, ||c pi||_F) over the
-        # commutant basis c: ||x pi||_F = ||x f||_F for an orthonormal frame f
-        moved = a.commutant.basis @ projectors[:, None]
-        outside = moved - projectors[:, None] @ moved
-        ratios = frob(outside, axis=(2, 3)) / np.maximum(1.0, frob(moved, axis=(2, 3)))
-        inv_residuals = ratios.max(axis=1).tolist()
-    for i, (proj_residual, inv_residual) in enumerate(zip(proj_residuals, inv_residuals)):
-        by_projector = proj_residual <= eq
-        if by_projector != (inv_residual <= eq):
-            raise NumericalError(
-                "membership criteria disagree: projector residual "
-                f"{proj_residual:.3e}, invariance residual {inv_residual:.3e}"
-            )
-        if not by_projector:
-            return i
+    n, eq = a.dim, tolerances().eq
+    # the zero subspace is invariant, without the commutant
+    commuting = a.commutant.basis if any(s.dim for s in subspaces) else None
+    block = max(1, CERTIFY_BLOCK_ENTRIES // (n * n if commuting is None else commuting.size))
+    for start in range(0, len(subspaces), block):
+        projectors = np.array([s.projector() for s in subspaces[start:start + block]])
+        proj_residuals = a._membership_residuals(projectors.reshape(-1, n * n)).tolist()
+        inv_residuals = [0.0] * len(projectors)
+        if commuting is not None:
+            # worst relative ||(I - pi) c pi||_F / max(1, ||c pi||_F) over the
+            # commutant basis c: ||x pi||_F = ||x f||_F for an orthonormal frame f
+            moved = commuting @ projectors[:, None]
+            outside = moved - projectors[:, None] @ moved
+            ratios = frob(outside, axis=(2, 3)) / np.maximum(1.0, frob(moved, axis=(2, 3)))
+            inv_residuals = ratios.max(axis=1).tolist()
+        for i, (proj_residual, inv_residual) in enumerate(zip(proj_residuals, inv_residuals)):
+            by_projector = proj_residual <= eq
+            if by_projector != (inv_residual <= eq):
+                raise NumericalError(
+                    "membership criteria disagree: projector residual "
+                    f"{proj_residual:.3e}, invariance residual {inv_residual:.3e}"
+                )
+            if not by_projector:
+                return start + i
     return None
 
 
@@ -405,7 +415,8 @@ def is_member_XAprime(a: StarAlgebra, s: Subspace) -> bool:
 
 
 def certify_members(a: StarAlgebra, subspaces) -> list[InvariantSubspace]:
-    """Certify subspaces as members of X(A'), all in one stacked test.
+    """Certify subspaces as members of X(A'), in stacked blocks of bounded
+    memory (see ``_first_nonmember``).
 
     Raises for the first subspace, in order, that fails: ``NumericalError``
     where the two criteria of ``is_member_XAprime`` disagree on it,

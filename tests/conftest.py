@@ -440,7 +440,7 @@ def reference_factors(el):
 
 
 # Reference per-step peel.  ``ppu._peel`` certifies its divisors with one
-# ``certify_members`` call per chunk of steps, and a product of elementary
+# ``certify_members`` call when it ends, and a product of elementary
 # factors starts from its first factor's kept pair.  These are the code they
 # replaced, against which their answers and errors are checked bitwise: each
 # divisor certified on its own before it divides, and products from t^k.

@@ -549,7 +549,7 @@ def outcome(run, *args):
 
 @pytest.mark.parametrize("name", sorted(STEPWISE_ALGEBRAS))
 def test_chunked_certification_answers_as_the_stepwise_peel_does(name):
-    # the peel certifies its divisors in chunks and products start from
+    # the peel certifies its divisors in one call and products start from
     # their first factor: every answer and every error is bitwise that of
     # the peel that certified each step and the products from t^k
     a = STEPWISE_ALGEBRAS[name]()

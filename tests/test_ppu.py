@@ -1,4 +1,6 @@
 import functools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,7 +363,7 @@ def injected_kernel(monkeypatch, steps):
     return calls
 
 
-def certified_chunks(monkeypatch):
+def certify_calls(monkeypatch):
     """The sizes of the peel's ``certify_members`` calls, in order."""
     sizes = []
     members = pu.certify_members
@@ -371,8 +373,8 @@ def certified_chunks(monkeypatch):
 
 
 class TestChunkedCertification:
-    """The peel certifies its divisors in one call per chunk of steps, and
-    reports a divisor outside X(A') ahead of any later error."""
+    """The peel certifies its divisors in one call, and reports a divisor
+    outside X(A') ahead of any later error."""
 
     def test_a_non_member_is_reported_ahead_of_a_later_error(self, monkeypatch):
         # t^2 peels its head C^4; then a coordinate line, which the
@@ -412,11 +414,12 @@ class TestChunkedCertification:
                 run(pu.ppu_t_power(a, 3))
 
     def test_a_peel_past_one_chunk(self, monkeypatch):
+        # a 70-step peel certifies all its divisors in one call
         a = doubled_algebra(2)
         el = pu.ppu_t_power(a, 70)
-        certified = certified_chunks(monkeypatch)
+        certified = certify_calls(monkeypatch)
         fl = pu.factor_positive(el)
-        assert certified == [ppu.CERTIFY_CHUNK, 70 - ppu.CERTIFY_CHUNK]
+        assert certified == [70]
         assert len(fl.factors) == 70 and all(m.subspace.dim == 4 for m in fl.factors)
         assert fl.assembled.op.exponents == el.op.exponents
         assert np.array_equal(fl.assembled.op.stack, el.op.stack)
@@ -426,11 +429,33 @@ class TestChunkedCertification:
             with pytest.raises(NumericalError, match="^divisor 66 failed certification$"):
                 run(el)
 
+    def test_a_long_peel_over_a_large_commutant_stays_small(self):
+        # M_2 (x) 1_8 has a 64-dimensional commutant on C^16: one stacked
+        # invariance test of 64 divisors would hold 64 * 64 * 16^2 entries
+        x = np.random.default_rng(11).standard_normal((2, 2))
+        a = pu.generate_algebra(16, [np.kron(x, np.eye(8))])
+        assert a.commutant.linear_dim == 64
+        el = pu.ppu_t_power(a, 64)
+        members, _ = stepwise_factor_positive(el)
+        tracemalloc.start()
+        try:
+            # CPU time of this process, so a busy host does not count against it
+            start = time.process_time()
+            fl = pu.factor_positive(el)
+            elapsed = time.process_time() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [m.subspace.frame.tobytes() for m in fl.factors] == [
+            m.subspace.frame.tobytes() for m in members]
+        assert peak < 16 * 2**20
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("kind, factors", [("t-power", 1), ("t-power", 3), ("t-power", 64),
                                                 ("t-power", 65), ("random", 4), ("random", 16)])
     def test_work_per_factorization(self, monkeypatch, kind, factors):
-        # degree k takes k kernels, one certification per chunk of 64
-        # divisors, and 2k - 1 elementary products: k divisions and k - 1
+        # degree k takes k kernels, one certification of its k divisors,
+        # and 2k - 1 elementary products: k divisions and k - 1
         # to reassemble (a random product of k factors may have lower degree)
         a = full_algebra(3, seed=7)
         el = (pu.ppu_t_power(a, factors) if kind == "t-power"
@@ -438,14 +463,14 @@ class TestChunkedCertification:
         k = el.hi
         assert k > 0
         kernels = injected_kernel(monkeypatch, {})
-        certified = certified_chunks(monkeypatch)
+        certified = certify_calls(monkeypatch)
         products = []
         times = LaurentOp.times_elementary
         monkeypatch.setattr(LaurentOp, "times_elementary",
                             lambda op, *args, **kw: products.append(op) or times(op, *args, **kw))
         assert len(pu.factor_positive(el).factors) == k
         assert len(kernels) == k
-        assert len(certified) == -(-k // ppu.CERTIFY_CHUNK) and sum(certified) == k
+        assert certified == [k]
         assert len(products) == 2 * k - 1
 
 

@@ -479,6 +479,65 @@ class TestMembership:
         pu.is_member_XAprime(a, s)  # must not raise the inconsistency error
 
 
+def certify_outcome(a, subspaces):
+    """The certified subspaces, the ``InputError`` index or the
+    ``NumericalError`` message of one ``certify_members`` call."""
+    try:
+        members = pu.certify_members(a, subspaces)
+    except InputError as exc:
+        return "index", exc.index
+    except NumericalError as exc:
+        return "message", str(exc)
+    assert all(m.algebra is a for m in members)
+    return "certified", [id(m.subspace) for m in members]
+
+
+class TestCertifyBlocks:
+    """Blocks of any size certify as one stacked test of all the subspaces does."""
+
+    @pytest.mark.parametrize("make", [lambda: doubled_algebra(2),
+                                      lambda: block_algebra([2, 1, 1])],
+                             ids=["doubled:2", "block:2+1+1"])
+    def test_every_block_size_answers_as_the_default(self, monkeypatch, make):
+        a = make()
+        zero = pu.Subspace(np.zeros((a.dim, 0)))
+        members = [pu.random_projection_in(a, seed).subspace for seed in range(40)]
+        others = [random_subspace(a.dim, seed, 6) for seed in range(10)]
+        nonzero = [m for m in members if m.dim]
+        tilted = []  # members tilted by 1e-10..1e-6, on a few of which the criteria disagree
+        for i, size in enumerate(np.logspace(-10, -6, 401)):
+            m, rng = nonzero[i % len(nonzero)], np.random.default_rng([i, 5])
+            noise = rng.standard_normal(m.frame.shape) + 1j * rng.standard_normal(m.frame.shape)
+            tilted.append(pu.orthonormal_basis(m.frame + size * noise))
+        # the subspaces by their outcome alone: member, non-member, disagreement
+        by_outcome = {"certified": [], "index": [], "message": []}
+        for sub in members + others + tilted:
+            by_outcome[certify_outcome(a, [sub])[0]].append(sub)
+        pools = [[zero], by_outcome["certified"], by_outcome["index"], by_outcome["message"]]
+        rng = np.random.default_rng(7)
+        lists = [[zero] * 5] + [
+            [pools[k][rng.integers(len(pools[k]))]
+             for k in rng.choice(4, size=rng.integers(1, 9), p=[0.2, 0.5, 0.15, 0.15])]
+            for _ in range(80)
+        ]
+        default = [certify_outcome(a, subs) for subs in lists]
+        assert {kind for kind, _ in default} == {"certified", "index", "message"}
+        rows = []
+        measure = star_algebra.StarAlgebra._membership_residuals
+        monkeypatch.setattr(star_algebra.StarAlgebra, "_membership_residuals",
+                            lambda alg, flat: rows.append(len(flat)) or measure(alg, flat))
+        per_subspace = a.commutant.basis.size
+        # a budget below one subspace's entries still takes one at a time
+        for entries, block in [(1, 1), (per_subspace + 1, 1), (2 * per_subspace + 1, 2),
+                               (3 * per_subspace + 1, 3)]:
+            monkeypatch.setattr(star_algebra, "CERTIFY_BLOCK_ENTRIES", entries)
+            for subs, want in zip(lists, default):
+                rows.clear()
+                assert certify_outcome(a, subs) == want
+                if want[0] == "certified" and any(s.dim for s in subs):
+                    assert rows == [len(subs[i:i + block]) for i in range(0, len(subs), block)]
+
+
 class TestRandomProjection:
     def test_scalar_algebra_gives_trivial_members(self):
         a = scalar_algebra(3)
