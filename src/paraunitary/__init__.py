@@ -31,6 +31,7 @@ from .star_algebra import (
     is_member_XAprime,
     partial_oplus,
     random_projection_in,
+    random_projections_in,
 )
 from .laurent import (
     PpuElement,
@@ -87,6 +88,7 @@ __all__ = [
     "ppu_t_power",
     "random_ppu",
     "random_projection_in",
+    "random_projections_in",
     "tolerance_scope",
     "tolerances",
     "twist_alpha",

@@ -26,7 +26,7 @@ from .star_algebra import (
     oml_complement,
     oml_join,
     oml_meet,
-    random_projection_in,
+    random_projections_in,
 )
 
 
@@ -65,8 +65,7 @@ def _orthogonalish_pair(a: StarAlgebra, seed: int, i: int):
     the first; the singularity and measure checks still count only the
     pairs whose hypothesis actually holds.
     """
-    m = random_projection_in(a, derive_seed(seed, i, 0))
-    n = random_projection_in(a, derive_seed(seed, i, 1))
+    m, n = random_projections_in(a, [derive_seed(seed, i, 0), derive_seed(seed, i, 1)])
     if i % 2 == 0:
         n = oml_meet(oml_complement(m), n)
     return m, n
@@ -123,8 +122,7 @@ def check_gamma_oml(a: StarAlgebra, samples: int = 100, seed: int = 0) -> CheckR
     one = ppu_t_power(a, 0)
     t_el = ppu_t_power(a, 1)
     for i in range(samples):
-        m = random_projection_in(a, derive_seed(seed, i, 0))
-        n = random_projection_in(a, derive_seed(seed, i, 1))
+        m, n = random_projections_in(a, [derive_seed(seed, i, 0), derive_seed(seed, i, 1)])
         pm, pn = ppu.p_of(m), ppu.p_of(n)
         pk, pc = ppu.p_of(oml_meet(m, n)), ppu.p_of(oml_complement(m))
         residual = _worst(

@@ -54,7 +54,7 @@ from .star_algebra import (
     StarAlgebra,
     certify_member,
     certify_members,
-    random_projection_in,
+    random_projections_in,
 )
 from .reporting import derive_seed
 
@@ -108,6 +108,10 @@ def _certify(algebra: StarAlgebra, divisors: list[Subspace]) -> list[InvariantSu
         return certify_members(algebra, divisors)
     except InputError as exc:
         raise NumericalError(f"divisor {exc.index + 1} failed certification") from exc
+    except NumericalError as exc:
+        if not hasattr(exc, "index"):  # the commutant, not a divisor
+            raise
+        raise NumericalError(f"divisor {exc.index + 1}: {exc}") from exc
 
 
 def _peel(
@@ -321,10 +325,15 @@ def complement_in_t(el: PpuElement) -> PpuElement:
 
 
 def random_ppu(algebra: StarAlgebra, k: int, shift: int, seed: int) -> PpuElement:
-    """Seeded product of k random elementary factors, shifted by t^-shift."""
+    """Seeded product of k random elementary factors, shifted by t^-shift.
+
+    The k members are drawn in one ``random_projections_in`` call.  A drawn
+    member can be the zero subspace, whose factor is the identity, so the
+    top exponent ``hi`` can fall below k - shift.
+    """
     k, shift = as_integer(k, "factor count"), as_integer(shift, "shift")
     seed = as_integer(seed, "seed", 0)
     if k < 0:
         raise InputError("factor count must be non-negative")
-    members = tuple([random_projection_in(algebra, derive_seed(seed, i)) for i in range(k)])
+    members = tuple(random_projections_in(algebra, [derive_seed(seed, i) for i in range(k)]))
     return FactorList(shift, members).assemble(algebra)

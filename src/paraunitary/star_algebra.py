@@ -171,22 +171,20 @@ def _peak_scaled(gens) -> list[np.ndarray]:
     return [g / peak for g in gens if (peak := np.abs(g).max(initial=0.0)) > 0.0]
 
 
-def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    """Eigenvectors of a Hermitian matrix, as columns in ascending eigenvalue,
-    and the index lists of its eigenvalue clusters: a new cluster starts
-    where the gap exceeds CLUSTER_GAP times the spectral spread, and a
-    spread at rounding level leaves one cluster."""
-    vals, vecs = np.linalg.eigh(h)
+def _clusters(vals: np.ndarray) -> list[list[int]]:
+    """Index lists of the clusters of ascending eigenvalues: a new cluster
+    starts where the gap exceeds CLUSTER_GAP times the spectral spread,
+    and a spread at rounding level leaves one cluster."""
     n = len(vals)
     spread = float(vals[-1] - vals[0]) if vals.size else 0.0
     if spread <= 1e-12 * max(1.0, float(np.abs(vals).max(initial=0.0))):
-        return vecs, [list(range(n))]
+        return [list(range(n))]
     clusters = [[0]]
     for i in range(1, n):
         if vals[i] - vals[i - 1] > CLUSTER_GAP * spread:
             clusters.append([])
         clusters[-1].append(i)
-    return vecs, clusters
+    return clusters
 
 
 def _seed_span(n: int, gens) -> np.ndarray:
@@ -334,7 +332,8 @@ def abelian_atoms(a: StarAlgebra) -> Atoms | None:
     parts = [m for g in gens for m in ((g + g.conj().T) / 2, (g - g.conj().T) / 2j)]
     weights = np.random.default_rng(ATOM_SEED).standard_normal(len(parts))
     sample = np.tensordot(weights, parts, axes=1) if parts else np.zeros((n, n))
-    vecs, clusters = _eigen_clusters(sample)
+    vals, vecs = np.linalg.eigh(sample)
+    clusters = _clusters(vals)
     if len(clusters) != a.linear_dim:
         return None
     # adding 0.0 turns every negative zero into a positive one
@@ -359,8 +358,8 @@ class InvariantSubspace:
     algebra: StarAlgebra
 
 
-def _first_nonmember(a: StarAlgebra, subspaces: list[Subspace]) -> int | None:
-    """Index of the first subspace outside the lattice X(A'), or ``None``.
+def _criteria_residuals(a: StarAlgebra, subspaces: list[Subspace]):
+    """Each subspace's (projector residual, invariance residual), in order.
 
     Two criteria are evaluated for every subspace, each in one stacked
     product per block of subspaces: its projector lies in the algebra
@@ -370,13 +369,11 @@ def _first_nonmember(a: StarAlgebra, subspaces: list[Subspace]) -> int | None:
     array (the projector stack where every subspace is zero and no
     commutant is built), so a block holds at most CERTIFY_BLOCK_ENTRIES
     of its entries, and at least one subspace, however many there are.
-    The criteria must agree; the blocks run in order, and the first
-    subspace on which they disagree beyond tolerance is a
-    ``NumericalError``, unless a non-member comes before it.
+    A generator: each block is built only when its first pair is asked for.
     """
     if any(s.ambient_dim != a.dim for s in subspaces):
         raise InputError("ambient dimension mismatch")
-    n, eq = a.dim, tolerances().eq
+    n = a.dim
     # the zero subspace is invariant, without the commutant
     commuting = a.commutant.basis if any(s.dim for s in subspaces) else None
     block = max(1, CERTIFY_BLOCK_ENTRIES // (n * n if commuting is None else commuting.size))
@@ -386,20 +383,36 @@ def _first_nonmember(a: StarAlgebra, subspaces: list[Subspace]) -> int | None:
         inv_residuals = [0.0] * len(projectors)
         if commuting is not None:
             # worst relative ||(I - pi) c pi||_F / max(1, ||c pi||_F) over the
-            # commutant basis c: ||x pi||_F = ||x f||_F for an orthonormal frame f
+            # commutant basis c (||x pi||_F = ||x f||_F for an orthonormal frame
+            # f); the scale is taken first, so the difference overwrites c pi and
+            # at most three arrays of that size are alive at once
             moved = commuting @ projectors[:, None]
-            outside = moved - projectors[:, None] @ moved
-            ratios = frob(outside, axis=(2, 3)) / np.maximum(1.0, frob(moved, axis=(2, 3)))
-            inv_residuals = ratios.max(axis=1).tolist()
-        for i, (proj_residual, inv_residual) in enumerate(zip(proj_residuals, inv_residuals)):
-            by_projector = proj_residual <= eq
-            if by_projector != (inv_residual <= eq):
-                raise NumericalError(
-                    "membership criteria disagree: projector residual "
-                    f"{proj_residual:.3e}, invariance residual {inv_residual:.3e}"
-                )
-            if not by_projector:
-                return start + i
+            scale = np.maximum(1.0, frob(moved, axis=(2, 3)))
+            outside = np.subtract(moved, projectors[:, None] @ moved, out=moved)
+            inv_residuals = (frob(outside, axis=(2, 3)) / scale).max(axis=1).tolist()
+        yield from zip(proj_residuals, inv_residuals)
+
+
+def _first_nonmember(a: StarAlgebra, subspaces: list[Subspace]) -> int | None:
+    """Index of the first subspace outside the lattice X(A'), or ``None``.
+
+    The two criteria of ``_criteria_residuals`` must agree; the blocks
+    run in order, and the first subspace on which they disagree beyond
+    tolerance is a ``NumericalError`` whose ``index`` is its position,
+    unless a non-member comes before it.
+    """
+    eq = tolerances().eq
+    for i, (proj_residual, inv_residual) in enumerate(_criteria_residuals(a, subspaces)):
+        by_projector = proj_residual <= eq
+        if by_projector != (inv_residual <= eq):
+            error = NumericalError(
+                "membership criteria disagree: projector residual "
+                f"{proj_residual:.3e}, invariance residual {inv_residual:.3e}"
+            )
+            error.index = i
+            raise error
+        if not by_projector:
+            return i
     return None
 
 
@@ -416,11 +429,11 @@ def is_member_XAprime(a: StarAlgebra, s: Subspace) -> bool:
 
 def certify_members(a: StarAlgebra, subspaces) -> list[InvariantSubspace]:
     """Certify subspaces as members of X(A'), in stacked blocks of bounded
-    memory (see ``_first_nonmember``).
+    memory (see ``_criteria_residuals``).
 
-    Raises for the first subspace, in order, that fails: ``NumericalError``
-    where the two criteria of ``is_member_XAprime`` disagree on it,
-    otherwise ``InputError`` whose ``index`` is its position.
+    Raises for the first subspace, in order, that fails, with its position
+    as ``index``: ``NumericalError`` where the two criteria of
+    ``is_member_XAprime`` disagree on it, otherwise ``InputError``.
     """
     subspaces = list(subspaces)
     i = _first_nonmember(a, subspaces)
@@ -435,29 +448,62 @@ def certify_member(a: StarAlgebra, s: Subspace) -> InvariantSubspace:
     return certify_members(a, [s])[0]
 
 
-def random_projection_in(a: StarAlgebra, seed: int) -> InvariantSubspace:
-    """Seeded random member of X(A').
+def _spectral_draws(a: StarAlgebra, seeds: list[int], attempt: int) -> list[Subspace]:
+    """Each seed's spectral subspace at one attempt, not yet certified.
 
-    Draws a random self-adjoint element of the algebra, groups its
-    eigenvalues into clusters separated by more than CLUSTER_GAP times
-    the spectral spread, and keeps a random subset of the cluster
-    eigenspaces.  The result always certifies; degenerate draws are
-    retried up to 16 times.
+    The seed's ``default_rng([seed, attempt])`` draws a random self-adjoint
+    element of the algebra; its eigenvalues are grouped into clusters
+    separated by more than CLUSTER_GAP times the spectral spread, and the
+    same generator keeps a random subset of the cluster eigenspaces.  One
+    ``eigh`` runs over the stacked samples, which is each sample's own
+    ``eigh`` bitwise.
     """
-    seed = as_integer(seed, "seed", 0)
-    for attempt in range(16):
-        rng = np.random.default_rng([seed, attempt])
-        vecs, clusters = _eigen_clusters(a.hermitian_sample(rng))
+    rngs = [np.random.default_rng([seed, attempt]) for seed in seeds]
+    vals, vecs = np.linalg.eigh(np.array([a.hermitian_sample(rng) for rng in rngs]))
+    subs = []
+    for rng, vals_j, vecs_j in zip(rngs, vals, vecs):
+        clusters = _clusters(vals_j)
         chosen = rng.integers(0, 2, size=len(clusters)).astype(bool)
-        cols = [vecs[:, idx] for c, keep in zip(clusters, chosen) if keep for idx in c]
-        sub = (
-            Subspace(np.column_stack(cols)) if cols else zero_subspace(a.dim)
-        )
+        cols = [vecs_j[:, idx] for c, keep in zip(clusters, chosen) if keep for idx in c]
+        subs.append(Subspace(np.column_stack(cols)) if cols else zero_subspace(a.dim))
+    return subs
+
+
+def random_projections_in(a: StarAlgebra, seeds) -> list[InvariantSubspace]:
+    """Seeded random members of X(A'), one for each seed, in order.
+
+    Each attempt draws a subspace for every pending seed at once
+    (``_spectral_draws``) and certifies them in one membership test.  A
+    seed whose subspace does not certify (a non-member, or criteria that
+    disagree) draws again at the next attempt, up to 16; so each member
+    is what the seed draws alone.
+    """
+    seeds = [as_integer(seed, "seed", 0) for seed in seeds]
+    members: list[InvariantSubspace | None] = [None] * len(seeds)
+    pending = list(range(len(seeds)))
+    eq = tolerances().eq
+    for attempt in range(16):
+        if not pending:
+            break
+        subs = _spectral_draws(a, [seeds[i] for i in pending], attempt)
         try:
-            return certify_member(a, sub)
-        except (InputError, NumericalError):
-            continue
-    raise NumericalError("no certified spectral projection after 16 attempts")
+            certified = [p <= eq and q <= eq for p, q in _criteria_residuals(a, subs)]
+        except NumericalError:  # no commutant: only a zero subspace certifies without one
+            certified = [s.dim == 0 for s in subs]
+        for i, s, ok in zip(pending, subs, certified):
+            if ok:
+                members[i] = InvariantSubspace(s, a)
+        pending = [i for i, ok in zip(pending, certified) if not ok]
+    if pending:
+        raise NumericalError("no certified spectral projection after 16 attempts")
+    return members
+
+
+def random_projection_in(a: StarAlgebra, seed: int) -> InvariantSubspace:
+    """Seeded random member of X(A'): the one-seed case of
+    ``random_projections_in``.  The result always certifies; degenerate
+    draws are retried up to 16 times."""
+    return random_projections_in(a, [seed])[0]
 
 
 def oml_meet(m: InvariantSubspace, n: InvariantSubspace) -> InvariantSubspace:
@@ -495,8 +541,8 @@ def check_orthomodular(a: StarAlgebra, samples: int, seed: int) -> CheckReport:
     """Sampled orthomodular law: m <= n implies m v (m* ^ n) = n."""
     report = CheckReport("orthomodular", samples, seed)
     for i in range(samples):
-        n_member = random_projection_in(a, derive_seed(seed, i, 0))
-        m_raw = random_projection_in(a, derive_seed(seed, i, 1))
+        n_member, m_raw = random_projections_in(
+            a, [derive_seed(seed, i, 0), derive_seed(seed, i, 1)])
         m_sub = meet_subspace(m_raw.subspace, n_member.subspace)
         lhs = join_subspace(
             m_sub, meet_subspace(ortho_complement(m_sub), n_member.subspace)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import paraunitary as pu
-from paraunitary import laurent, ppu
+from paraunitary import laurent, ppu, star_algebra
 from paraunitary.laurent import LaurentOp
 from paraunitary.numfield import (
     InputError,
@@ -22,6 +22,7 @@ from paraunitary.numfield import (
     kernel,
     meet_subspace,
     tolerances,
+    zero_subspace,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -467,6 +468,8 @@ def stepwise_peel(operands, algebra, right=False):
             member = pu.certify_member(algebra, s)
         except InputError as exc:
             raise NumericalError(f"divisor {len(peeled) + 1} failed certification") from exc
+        except NumericalError as exc:
+            raise NumericalError(f"divisor {len(peeled) + 1}: {exc}") from exc
         ops = [op.times_elementary(s, inverse=True, on_left=not right) for op in ops]
         if min(op.lo for op in ops) < 0:
             raise NumericalError(f"negative exponent after divisor {len(peeled) + 1}")
@@ -523,6 +526,42 @@ def reference_random_ppu(algebra, k, shift, seed):
         member = pu.random_projection_in(algebra, pu.derive_seed(seed, i))
         out = out * reference_elementary(member.subspace)
     return out.shifted(-shift).to_op()
+
+
+# Reference one-seed draw.  ``star_algebra.random_projections_in`` draws
+# the members of many seeds together: one stacked ``eigh`` and one
+# membership test per attempt.  This is the loop it replaced, one seed,
+# one ``eigh`` and one ``certify_member`` per attempt, against which its
+# members are checked bitwise.  ``attempts`` lets a test start it later.
+
+
+def one_seed_projection_in(algebra, seed, attempts=range(16)):
+    for attempt in attempts:
+        rng = np.random.default_rng([seed, attempt])
+        vals, vecs = np.linalg.eigh(algebra.hermitian_sample(rng))
+        n = len(vals)
+        spread = float(vals[-1] - vals[0]) if vals.size else 0.0
+        if spread <= 1e-12 * max(1.0, float(np.abs(vals).max(initial=0.0))):
+            clusters = [list(range(n))]
+        else:
+            clusters = [[0]]
+            for i in range(1, n):
+                if vals[i] - vals[i - 1] > star_algebra.CLUSTER_GAP * spread:
+                    clusters.append([])
+                clusters[-1].append(i)
+        chosen = rng.integers(0, 2, size=len(clusters)).astype(bool)
+        cols = [vecs[:, idx] for c, keep in zip(clusters, chosen) if keep for idx in c]
+        sub = pu.Subspace(np.column_stack(cols)) if cols else zero_subspace(algebra.dim)
+        try:
+            return pu.certify_member(algebra, sub)
+        except (InputError, NumericalError):
+            continue
+    raise NumericalError("no certified spectral projection after 16 attempts")
+
+
+def one_seed_random_ppu(algebra, k, shift, seed):
+    members = [one_seed_projection_in(algebra, pu.derive_seed(seed, i)) for i in range(k)]
+    return ppu.FactorList(shift, tuple(members)).assemble(algebra)
 
 
 # Reference emitter.  ``jsonio.canonical_dumps`` formats a matrix's data in

@@ -451,6 +451,28 @@ class TestChunkedCertification:
         assert peak < 16 * 2**20
         assert elapsed < 1.0
 
+    def test_a_disagreement_names_its_divisor(self):
+        # a line tilted by e = 9.77e-9 lies in the band (eq / sqrt 2, eq] where
+        # the projector residual (sqrt 2 e) fails and the invariance residual
+        # (e) passes: the peel names divisor 2, as it does a non-member
+        a = pu.generate_algebra(3, [np.diag([1.0, 2.0, 3.0])])
+        tilted = pu.orthonormal_basis(np.array([[1.0], [9.77e-9], [0.0]]))
+        divisors = [pu.orthonormal_basis(np.zeros((3, 0))), tilted]
+        with pytest.raises(NumericalError, match="membership criteria disagree") as caught:
+            pu.certify_members(a, divisors)
+        assert caught.value.index == 1
+        with pytest.raises(NumericalError, match=(
+                r"^divisor 2: membership criteria disagree: projector residual 1\.382e-08, "
+                r"invariance residual 9\.77\de-09$")):
+            ppu._certify(a, divisors)
+        # a caller's pair whose commutant fails its own check: that error
+        # names no divisor and passes unchanged
+        u = np.linalg.qr(np.random.default_rng(6).standard_normal((3, 3)))[0]
+        rotated = pu.generate_algebra(3, [u @ np.diag([1.0, 2.0, 3.0]) @ u.T])
+        lying = pu.StarAlgebra(3, [np.diag([1.0, 2.0, 3.0])], rotated.basis)
+        with pytest.raises(NumericalError, match="^commutant does not commute"):
+            ppu._certify(lying, divisors)
+
     @pytest.mark.parametrize("kind, factors", [("t-power", 1), ("t-power", 3), ("t-power", 64),
                                                 ("t-power", 65), ("random", 4), ("random", 16)])
     def test_work_per_factorization(self, monkeypatch, kind, factors):

@@ -29,6 +29,8 @@ from conftest import (
     five_shapes,
     full_algebra,
     load_module,
+    one_seed_projection_in,
+    one_seed_random_ppu,
     rand_matrix,
     random_algebra,
     random_subspace,
@@ -568,6 +570,124 @@ class TestRandomProjection:
             assert pu.is_member_XAprime(a, m.subspace)
 
 
+def bench_algebras():
+    """The bench workloads' algebras at seed 1, by spec."""
+    inputs = load_module("bench/inputs.py")
+    return {spec: pu.generate_algebra(*inputs.algebra_generators(spec, 1))
+            for spec in BENCH_SPECS}
+
+
+def frames(members):
+    return [m.subspace.frame.tobytes() for m in members]
+
+
+def draw_outcome(draw, *args):
+    """The members' frames, or the error's type and message."""
+    try:
+        result = draw(*args)
+    except (InputError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+    return frames(result if isinstance(result, list) else [result])
+
+
+class TestBatchedDraws:
+    """Members drawn many seeds at a time are each seed's own draw, bitwise."""
+
+    SEEDS = [0, 1, 7, 123, 2**40 + 3] + [pu.derive_seed(s, i, j) for s in (0, 5)
+                                         for i in range(3) for j in (0, 1)]
+
+    def test_a_stacked_eigh_is_each_matrixs_own(self):
+        for a in bench_algebras().values():
+            samples = [a.hermitian_sample(np.random.default_rng([s, 0])) for s in self.SEEDS]
+            vals, vecs = np.linalg.eigh(np.array(samples))
+            for h, vals_j, vecs_j in zip(samples, vals, vecs):
+                own_vals, own_vecs = np.linalg.eigh(h)
+                assert own_vals.tobytes() == vals_j.tobytes()
+                assert own_vecs.tobytes() == vecs_j.tobytes()
+
+    def test_members_are_the_one_seed_draws(self):
+        for spec, a in bench_algebras().items():
+            want = [one_seed_projection_in(a, s).subspace.frame.tobytes() for s in self.SEEDS]
+            assert frames(pu.random_projections_in(a, self.SEEDS)) == want, spec
+            assert frames(pu.random_projection_in(a, s) for s in self.SEEDS) == want, spec
+        assert pu.random_projections_in(a, []) == []
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 24])
+    def test_random_ppu_is_the_product_of_one_seed_draws(self, k):
+        for a in bench_algebras().values():
+            for shift, seed in [(0, 0), (1, 5), (-2, 2**40 + 3)]:
+                got = pu.random_ppu(a, k, shift, seed).op
+                want = one_seed_random_ppu(a, k, shift, seed).op
+                assert got.exponents == want.exponents
+                assert got.stack.tobytes() == want.stack.tobytes()
+
+    def test_an_algebra_without_a_commutant_draws_as_one_seed_does(self):
+        # a caller's pair whose commutant does not commute with its
+        # generator: only a zero subspace certifies, and seed 3 draws none
+        u = np.linalg.qr(rand_matrix(np.random.default_rng(6), 3, 3))[0]
+        rotated = star_algebra.generate_algebra(3, [u @ np.diag([1.0, 2.0, 3.0]) @ u.conj().T])
+        lying = pu.StarAlgebra(3, [np.diag([1.0, 2.0, 3.0])], rotated.basis)
+        outcomes = [draw_outcome(pu.random_projection_in, lying, s) for s in range(6)]
+        assert outcomes == [draw_outcome(one_seed_projection_in, lying, s) for s in range(6)]
+        assert outcomes[3] == ("NumericalError",
+                               "no certified spectral projection after 16 attempts")
+        assert draw_outcome(pu.random_projections_in, lying, [0, 1, 2, 4, 5]) == [
+            f for o in outcomes[:3] + outcomes[4:] for f in o]
+
+    @pytest.mark.parametrize("refusal", [(1.0, 1.0), (0.0, 1.0)], ids=["non-member", "disagree"])
+    def test_only_a_refused_seed_draws_again(self, monkeypatch, refusal):
+        a = full_algebra(3, seed=4)
+        seeds = [11, 12, 13, 14]
+        draws, residuals = [], star_algebra._criteria_residuals
+        spectral = star_algebra._spectral_draws
+
+        def recorded(alg, pending, attempt):
+            draws.append((list(pending), attempt))
+            return spectral(alg, pending, attempt)
+
+        def refuse_third_at_first(alg, subs):
+            pairs = list(residuals(alg, subs))
+            if len(draws) == 1:
+                pairs[2] = refusal
+            return iter(pairs)
+        monkeypatch.setattr(star_algebra, "_spectral_draws", recorded)
+        monkeypatch.setattr(star_algebra, "_criteria_residuals", refuse_third_at_first)
+        got = frames(pu.random_projections_in(a, seeds))
+        assert draws == [(seeds, 0), ([13], 1)]
+        want = [one_seed_projection_in(a, s) for s in seeds]
+        want[2] = one_seed_projection_in(a, 13, attempts=range(1, 16))
+        assert got == frames(want)
+        assert got[2] != one_seed_projection_in(a, 13).subspace.frame.tobytes()
+
+    def test_a_seed_refused_at_every_attempt_is_a_numerical_error(self, monkeypatch):
+        a = full_algebra(3, seed=4)
+        attempts = []
+        residuals = star_algebra._criteria_residuals
+
+        def refuse_seed_12(alg, subs):
+            attempts.append(len(subs))
+            pairs = list(residuals(alg, subs))
+            return iter([(1.0, 1.0)] if len(subs) == 1 else pairs[:1] + [(1.0, 1.0)])
+        monkeypatch.setattr(star_algebra, "_criteria_residuals", refuse_seed_12)
+        with pytest.raises(NumericalError,
+                           match="^no certified spectral projection after 16 attempts$"):
+            pu.random_projections_in(a, [11, 12])
+        assert attempts == [2] + [1] * 15
+
+    @pytest.mark.parametrize("seeds, message", [
+        ([1, -1], "seed must be at least 0"),
+        ([-1, 1], "seed must be at least 0"),
+        ([1, 2, 2.5], "seed must be an integer"),
+        (["7"], "seed must be an integer"),
+    ])
+    def test_a_bad_seed_anywhere_is_an_input_error(self, monkeypatch, seeds, message):
+        def refused(*args):
+            raise AssertionError("drawn")
+        monkeypatch.setattr(star_algebra, "_spectral_draws", refused)
+        with pytest.raises(InputError, match=message):
+            pu.random_projections_in(full_algebra(2), seeds)
+
+
 class TestAtoms:
     @pytest.mark.parametrize("kind", ["full:2", "doubled:2", "block:2+1"])
     def test_a_non_abelian_algebra_has_none(self, kind):
@@ -615,7 +735,7 @@ class TestAtoms:
 
         def refused(*args):
             raise AssertionError("called")
-        monkeypatch.setattr(star_algebra, "_eigen_clusters", refused)
+        monkeypatch.setattr(star_algebra, "_clusters", refused)
         assert doubled.atoms is None
         monkeypatch.setattr(star_algebra, "_peak_scaled", refused)
         assert full.atoms is None
